@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -148,69 +148,93 @@ class BatchResult:
         )
 
 
-def _assign_top(sub: np.ndarray, capacity: int) -> np.ndarray:
-    """Boolean mask of the ``capacity`` smallest keys per row of ``sub``.
+def _select_top(keys: np.ndarray, capacity: int) -> np.ndarray:
+    """Boolean mask of the ``capacity`` smallest keys along the last axis.
 
-    ``sub`` holds *ascending-is-better* keys.  A stable argsort breaks ties
-    by column index, which (columns being in ``repr`` order) is exactly the
-    reference algorithms' ``(-priority, repr(set_id))`` tie-break.
+    ``keys`` holds *ascending-is-better* keys.  Ties go to the lowest index
+    (``argmin`` returns the first minimum; the argsort is stable), which —
+    columns being in ``repr`` order — is exactly the reference algorithms'
+    ``(-priority, repr(set_id))`` tie-break.
     """
-    rows, width = sub.shape
-    assigned = np.zeros((rows, width), dtype=bool)
+    width = keys.shape[-1]
     if capacity == 1:
-        # argmin returns the first minimum: the lowest column wins ties.
-        choice = np.argmin(sub, axis=1)
-        assigned[np.arange(rows), choice] = True
-    else:
-        order = np.argsort(sub, axis=1, kind="stable")
-        np.put_along_axis(assigned, order[:, :capacity], True, axis=1)
-    return assigned
+        return np.argmin(keys, axis=-1)[..., np.newaxis] == np.arange(width)
+    order = np.argsort(keys, axis=-1, kind="stable")
+    selected = np.zeros(keys.shape, dtype=bool)
+    np.put_along_axis(selected, order[..., :capacity], True, axis=-1)
+    return selected
+
+
+def _contested_groups(
+    compiled: CompiledInstance, start: int = 0, stop: Optional[int] = None
+) -> List[Tuple[int, np.ndarray]]:
+    """The contested steps of ``[start, stop)``, grouped by (width, capacity).
+
+    A step is *contested* when its element has more parents than capacity.
+    Returns one ``(capacity, columns)`` pair per group, ``columns`` being the
+    ``(steps_in_group, width)`` parent columns of the group's steps.
+    """
+    stop = compiled.num_steps if stop is None else stop
+    indptr = compiled.step_indptr
+    offsets = indptr[start:stop]
+    widths = indptr[start + 1 : stop + 1] - offsets
+    capacities = compiled.step_capacities[start:stop]
+    contested = widths > capacities
+    if not contested.any():
+        return []
+    offsets = offsets[contested]
+    widths = widths[contested].astype(np.int64)
+    capacities = capacities[contested].astype(np.int64)
+    codes = widths * (int(capacities.max()) + 1) + capacities
+    _, group_of = np.unique(codes, return_inverse=True)
+    groups = []
+    for group in range(int(group_of.max()) + 1):
+        members = group_of == group
+        first = int(np.argmax(members))
+        width = int(widths[first])
+        gather = offsets[members][:, np.newaxis] + np.arange(width)
+        groups.append((int(capacities[first]), compiled.step_parents[gather]))
+    return groups
+
+
+def _drop_losers(
+    keys: np.ndarray,
+    groups: List[Tuple[int, np.ndarray]],
+    completed: np.ndarray,
+    slot_of: Optional[np.ndarray] = None,
+) -> None:
+    """The static-priority replay kernel, shared by every engine.
+
+    Static priorities make every decision independent of the simulation
+    state, and a set is completed exactly when none of its elements is
+    dropped — so a replay reduces to finding the losers of every contested
+    step (:func:`_contested_groups`) and clearing them in the ``(rows, m)``
+    ``completed`` mask, in place.  ``keys`` holds one lower-wins key row per
+    trial (or a single row for a deterministic kind); column ``j``'s key is
+    ``keys[:, j]``, or ``keys[:, slot_of[j]]`` when the keys live in the
+    streaming engine's row pool.  Each group is one batched selection
+    (:func:`_select_top`) over a ``(rows, steps_in_group, width)`` gather.
+    """
+    rows = keys.shape[0]
+    for capacity, columns in groups:
+        sub = keys[:, columns if slot_of is None else slot_of[columns]]
+        won = _select_top(sub, capacity).reshape(rows, -1)
+        # A set can sit in several steps of one group: AND its outcomes per
+        # column (segments of the column-sorted incidences), then clear.
+        flat = columns.ravel()
+        order = np.argsort(flat, kind="stable")
+        targets, starts = np.unique(flat[order], return_index=True)
+        completed[:, targets] &= np.logical_and.reduceat(won[:, order], starts, axis=1)
 
 
 def _run_static(compiled: CompiledInstance, keys: np.ndarray) -> np.ndarray:
-    """Replay all trials of a static-priority algorithm; keys: lower wins.
+    """Replay a static-priority algorithm over the whole instance at once.
 
-    Returns the ``(rows, m)`` completed mask.  Static priorities make every
-    decision independent of the simulation state, and a set is completed
-    exactly when none of its elements is dropped, so the whole run reduces
-    to: find the dropped parents of every *contested* step (more parents
-    than capacity) and mark them dead.  Contested steps are grouped by
-    (width, capacity) so each group is one batched partial sort plus one
-    matmul scatter instead of a Python-level pass per step.
+    One window spanning every step, with the identity slot map; returns the
+    ``(rows, m)`` completed mask for the ``(rows, m)`` lower-wins ``keys``.
     """
-    rows, m = keys.shape
-    indptr = compiled.step_indptr
-    parents = compiled.step_parents
-    capacities = compiled.step_capacities
-    groups: Dict[Tuple[int, int], list] = {}
-    for step in range(compiled.num_steps):
-        columns = parents[indptr[step] : indptr[step + 1]]
-        width = len(columns)
-        capacity = int(capacities[step])
-        if width > capacity:
-            groups.setdefault((width, capacity), []).append(columns)
-
-    contested_columns = []
-    dropped_blocks = []
-    for (width, capacity), column_lists in groups.items():
-        stacked = np.stack(column_lists)  # (steps_in_group, width)
-        sub = keys[:, stacked]  # (rows, steps_in_group, width)
-        if capacity == 1:
-            choice = np.argmin(sub, axis=2)
-            assigned = choice[..., np.newaxis] == np.arange(width)
-        else:
-            order = np.argsort(sub, axis=2, kind="stable")
-            assigned = np.zeros(sub.shape, dtype=bool)
-            np.put_along_axis(assigned, order[..., :capacity], True, axis=2)
-        contested_columns.append(stacked.ravel())
-        dropped_blocks.append((~assigned).reshape(rows, -1))
-
-    completed = np.ones((rows, m), dtype=bool)
-    if contested_columns:
-        all_columns = np.concatenate(contested_columns)
-        all_dropped = np.concatenate(dropped_blocks, axis=1)  # (rows, nnz)
-        trial_index, incidence_index = np.nonzero(all_dropped)
-        completed[trial_index, all_columns[incidence_index]] = False
+    completed = np.ones((keys.shape[0], compiled.num_sets), dtype=bool)
+    _drop_losers(keys, _contested_groups(compiled), completed)
     return completed
 
 
@@ -492,7 +516,7 @@ def _run_greedy(compiled: CompiledInstance, kind: str) -> np.ndarray:
             key = (
                 ((dead * 2 + fresh) * num_classes + classes) * size_range + rem
             ) * width + position
-        assigned = _assign_top(key, capacity)
+        assigned = _select_top(key, capacity)
         remaining[:, columns] -= assigned
         alive[:, columns] &= assigned
     return alive & (remaining == 0)
@@ -552,22 +576,36 @@ def simulate_batch(
         priorities = priority_matrix(spec, compiled, trials, seed)
         # Negate so that "smallest key wins" with stable index tie-breaks.
         completed = _run_static(compiled, -priorities)
-    # Sum the weights sequentially in column order — the exact float
-    # arithmetic of the reference engine's ``sum(...)`` over completed sets
-    # (``tolist`` yields Python floats; ``sum`` adds them left to right).
-    benefits = np.fromiter(
-        (sum(compiled.weights[row].tolist()) for row in completed),
-        dtype=np.float64,
-        count=completed.shape[0],
-    )
-    counts = completed.sum(axis=1, dtype=np.int64)
+    return _batch_result(spec, compiled, completed, trials, seed)
 
+
+def _batch_result(
+    spec: AlgorithmSpec,
+    compiled: CompiledInstance,
+    completed: np.ndarray,
+    trials: int,
+    seed: int,
+    benefits: Optional[np.ndarray] = None,
+) -> BatchResult:
+    """Wrap a replayed completed mask as a :class:`BatchResult`.
+
+    Unless ``benefits`` is given (the fast engine's float64 matmul), the
+    weights are summed sequentially in column order — the exact float
+    arithmetic of the reference engine's ``sum(...)`` over completed sets
+    (``tolist`` yields Python floats; ``sum`` adds them left to right).  A
+    one-row mask (a deterministic algorithm) stands for every trial.
+    """
+    if benefits is None:
+        benefits = np.fromiter(
+            (sum(compiled.weights[row].tolist()) for row in completed),
+            dtype=np.float64,
+            count=completed.shape[0],
+        )
+    counts = completed.sum(axis=1, dtype=np.int64)
     if completed.shape[0] == 1 and trials > 1:
-        # Deterministic algorithms: one replayed run stands for the batch.
         completed = np.repeat(completed, trials, axis=0)
         benefits = np.repeat(benefits, trials)
         counts = np.repeat(counts, trials)
-
     return BatchResult(
         algorithm_name=spec.name,
         instance_name=compiled.name,

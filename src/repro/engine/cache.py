@@ -51,7 +51,10 @@ def compiled_for(
     """The compiled form of ``instance``, compiling at most once per object.
 
     A :class:`CompiledInstance` argument passes straight through, so callers
-    that manage their own compilation are unaffected.
+    that manage their own compilation are unaffected — except the fast
+    engine's :class:`~repro.engine.compile.FastCompiledInstance`, which the
+    exact engines refuse: its float32 exponents cannot reproduce the
+    reference draws.
 
     >>> from repro.core import OnlineInstance, SetSystem
     >>> clear_compile_cache()
@@ -62,6 +65,11 @@ def compiled_for(
     True
     """
     global _HITS, _MISSES
+    if isinstance(instance, FastCompiledInstance):
+        raise TypeError(
+            "the exact engines cannot replay a FastCompiledInstance; pass the "
+            "instance or its exact compilation"
+        )
     if isinstance(instance, CompiledInstance):
         return instance
     try:

@@ -120,6 +120,28 @@ class CompiledInstance:
         """The parent columns of the element arriving at ``step``."""
         return self.step_parents[self.step_indptr[step] : self.step_indptr[step + 1]]
 
+    @classmethod
+    def from_columns(cls, *, weights: np.ndarray, **arrays):
+        """Build from the structural arrays, deriving the weight constants.
+
+        ``clamped_weights``, ``weight_class`` and ``priority_exponents`` are
+        functions of ``weights`` alone; deriving them in one place keeps
+        every compiler (:func:`compile_instance`, the streaming engine's
+        ``compile_trace``) bit-identical on them.
+        """
+        clamped = np.where(weights > 0.0, weights, ZERO_WEIGHT_CLAMP)
+        # Dense descending rank of the weights: heaviest class is 0, equal
+        # weights share a class.
+        unique_weights = np.unique(weights)  # ascending, deduplicated
+        weight_class = (len(unique_weights) - 1) - np.searchsorted(unique_weights, weights)
+        return cls(
+            weights=weights,
+            clamped_weights=clamped,
+            weight_class=weight_class.astype(np.int64),
+            priority_exponents=1.0 / clamped,
+            **arrays,
+        )
+
     def __repr__(self) -> str:
         return (
             f"CompiledInstance({self.name!r}, sets={self.num_sets}, "
@@ -152,7 +174,6 @@ def compile_instance(instance: OnlineInstance) -> CompiledInstance:
     weights = np.fromiter(
         (system.weight(set_id) for set_id in set_ids), dtype=np.float64, count=m
     )
-    clamped = np.where(weights > 0.0, weights, ZERO_WEIGHT_CLAMP)
     sizes = np.fromiter(
         (system.size(set_id) for set_id in set_ids), dtype=np.int64, count=m
     )
@@ -169,35 +190,31 @@ def compile_instance(instance: OnlineInstance) -> CompiledInstance:
         indptr[step + 1] = indptr[step] + len(columns)
         capacities[step] = arrival.capacity
 
-    # Dense descending rank of the weights: heaviest class is 0, equal
-    # weights share a class.
-    unique_weights = np.unique(weights)  # ascending, deduplicated
-    weight_class = (len(unique_weights) - 1) - np.searchsorted(unique_weights, weights)
-
-    return CompiledInstance(
+    return CompiledInstance.from_columns(
         name=instance.name,
         set_ids=set_ids,
         set_index=set_index,
         weights=weights,
-        clamped_weights=clamped,
         sizes=sizes,
         step_indptr=indptr,
         step_parents=np.asarray(parents_flat, dtype=np.int64),
         step_capacities=capacities,
-        weight_class=weight_class.astype(np.int64),
-        priority_exponents=1.0 / clamped,
     )
 
 
 @dataclass(frozen=True)
-class FastCompiledInstance:
-    """The float32/int32 sibling of :class:`CompiledInstance`.
+class FastCompiledInstance(CompiledInstance):
+    """The float32/int32 narrowing of a :class:`CompiledInstance`.
 
     The statistical ``engine="fast"`` backend does not replay the reference
     draws bit for bit, so it is free to trade float64 for float32 in the
     per-trial priority arithmetic (halving the bandwidth of the dominant
-    ``(trials, m)`` matrices) and int64 for int32 in the CSR incidence.  Two
-    deliberate exceptions keep the *measurements* trustworthy:
+    ``(trials, m)`` matrices) and int64 for int32 in the CSR incidence.  The
+    fields are the exact compilation's, so the shared replay kernels run on
+    it unchanged — but the exact engines refuse it
+    (:func:`~repro.engine.cache.compiled_for`), since its float32 exponents
+    would not reproduce the reference draws.  Two deliberate exceptions
+    keep the *measurements* trustworthy:
 
     * ``weights`` stays float64 — per-trial benefits are accumulated in
       float64 (a matmul against this vector), so batch means do not drift
@@ -219,38 +236,8 @@ class FastCompiledInstance:
     dtype('float64')
     """
 
-    name: str
-    set_ids: Tuple[SetId, ...]
-    set_index: Mapping[SetId, int] = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    clamped_weights: np.ndarray = field(repr=False)
-    sizes: np.ndarray = field(repr=False)
-    step_indptr: np.ndarray = field(repr=False)
-    step_parents: np.ndarray = field(repr=False)
-    step_capacities: np.ndarray = field(repr=False)
-    weight_class: np.ndarray = field(repr=False)
-    priority_exponents: np.ndarray = field(repr=False)
-
-    @property
-    def num_sets(self) -> int:
-        """The number of sets ``m`` (columns)."""
-        return len(self.set_ids)
-
-    @property
-    def num_steps(self) -> int:
-        """The number of arrival steps ``n``."""
-        return len(self.step_capacities)
-
-    @property
-    def num_incidences(self) -> int:
-        """The total number of element-set incidences."""
-        return int(self.step_indptr[-1]) if len(self.step_indptr) else 0
-
     def __repr__(self) -> str:
-        return (
-            f"FastCompiledInstance({self.name!r}, sets={self.num_sets}, "
-            f"steps={self.num_steps}, incidences={self.num_incidences})"
-        )
+        return "Fast" + super().__repr__()
 
 
 def compile_instance_fast(compiled: "CompiledInstance") -> FastCompiledInstance:

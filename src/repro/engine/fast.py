@@ -58,8 +58,14 @@ from typing import Tuple, Union
 import numpy as np
 
 from repro.core.instance import OnlineInstance
-from repro.engine.batch import BatchResult, _run_static, simulate_batch
-from repro.engine.cache import compiled_for, fast_compiled_for
+from repro.engine.batch import (
+    BatchResult,
+    _batch_result,
+    _contested_groups,
+    _drop_losers,
+    simulate_batch,
+)
+from repro.engine.cache import fast_compiled_for
 from repro.engine.compile import CompiledInstance, FastCompiledInstance
 from repro.engine.specs import AlgorithmSpec, is_fast_vectorized, resolve_spec
 
@@ -242,34 +248,21 @@ def simulate_fast(
         raise ValueError(f"trials must be at least 1, got {trials}")
     spec = resolve_spec(algorithm)
     if not is_fast_vectorized(spec):
-        if isinstance(instance, FastCompiledInstance):
-            raise ValueError(
-                f"spec {spec.kind!r} delegates to the exact engine; pass the "
-                "instance or its exact compilation, not the fast variant"
-            )
+        # The exact engine refuses a FastCompiledInstance (compiled_for).
         return simulate_batch(instance, spec, trials=trials, seed=seed)
 
     fast = fast_compiled_for(instance)
-    m = fast.num_sets
-    completed = np.empty((trials, m), dtype=bool)
+    groups = _contested_groups(fast)
+    completed = np.ones((trials, fast.num_sets), dtype=bool)
     for start in range(0, trials, _FAST_TRIAL_BLOCK):
         stop = min(start + _FAST_TRIAL_BLOCK, trials)
         priorities = _fast_priorities(spec, fast, stop - start, seed, start)
         # Negate so that "smallest key wins" with stable column tie-breaks —
-        # the same deterministic tie order as the exact engines.
-        completed[start:stop] = _run_static(fast, -priorities)
+        # the exact engines' static replay kernel and tie order.
+        _drop_losers(-priorities, groups, completed[start:stop])
     # Float64 accumulation: one matmul against the float64 weights, so the
     # per-trial benefit (and hence every mean) is as accurate as the exact
     # engine's, even though the priorities were float32.
-    benefits = completed @ fast.weights
-    counts = completed.sum(axis=1, dtype=np.int64)
-    return BatchResult(
-        algorithm_name=spec.name,
-        instance_name=fast.name,
-        trials=trials,
-        seed=seed,
-        set_ids=fast.set_ids,
-        completed=completed,
-        benefits=benefits,
-        completed_counts=counts,
+    return _batch_result(
+        spec, fast, completed, trials, seed, benefits=completed @ fast.weights
     )

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -80,6 +80,9 @@ __all__ = [
     "spec_for_algorithm",
     "resolve_spec",
     "priority_matrix",
+    "priority_columns",
+    "zero_draw_trials",
+    "reference_priority_row",
     "is_fast_vectorized",
 ]
 
@@ -119,6 +122,9 @@ _RANDOMIZED_KINDS = frozenset({"randPr", "uniform-priority", "uniform-random"})
 #: deterministic, and a deterministic spec's distribution is a point mass
 #: the exact engine already produces at no extra cost.
 FAST_PRIORITY_KINDS = frozenset({"randPr", "uniform-priority", "randPr-hashed"})
+
+#: Static kinds whose priorities transform per-trial ``random()`` draws.
+UNIFORM_DRAW_KINDS = frozenset({"randPr", "uniform-priority"})
 
 
 @dataclass(frozen=True)
@@ -323,72 +329,120 @@ def priority_matrix(
     array([[-0., -1.]])
     """
     m = compiled.num_sets
-    # Python floats, so the arithmetic inside the scalar helpers is the very
-    # same arithmetic the reference algorithms perform.
-    clamped = [float(value) for value in compiled.clamped_weights]
-
-    if spec.kind == "randPr":
-        # One vectorized draw table + the exact inverse-CDF transform.  The
-        # reference draw for column j of trial b is the j-th
-        # ``random.Random(seed + b).random()`` value raised to 1/w_j —
-        # uniform_matrix replays the former bit for bit and exact_pow applies
-        # the very libm ``pow`` the reference ``**`` calls.  sample_priority
-        # additionally *redraws* a 0.0 uniform; a zero draw (probability
-        # ~2^-53 per entry) desynchronizes that trial's stream from the
-        # precomputed row, so such trials are replayed through the scalar
-        # helper instead.
+    uniforms = salts = None
+    if spec.kind in UNIFORM_DRAW_KINDS:
+        # One vectorized draw table, shared by both kinds through the
+        # bridge's LRU.  It is read-only; priority_columns copies or
+        # transforms it.
         uniforms = rng_bridge.uniform_matrix(seed, trials, m)
-        matrix = rng_bridge.exact_pow(uniforms, compiled.priority_exponents)
-        zero_rows = np.flatnonzero((uniforms == 0.0).any(axis=1))
-        for trial in zero_rows.tolist():
-            replay = random.Random(seed + trial)
-            matrix[trial] = [sample_priority(weight, replay) for weight in clamped]
-        return matrix
+    elif spec.kind == "randPr-hashed" and spec.salt is None:
+        salts = rng_bridge.getrandbits64(seed, trials)
+    matrix = priority_columns(spec, compiled, 0, m, uniforms, salts)
+    if spec.kind == "randPr":
+        for trial in zero_draw_trials(uniforms):
+            matrix[trial] = reference_priority_row(compiled, seed + trial)
+    return matrix
 
-    if spec.kind == "uniform-priority":
-        # The draw table *is* the priority matrix (randPr with R_1 applies
-        # no transform at all).  Copy: the cached bridge table is read-only.
-        return rng_bridge.uniform_matrix(seed, trials, m).copy()
 
-    if spec.kind == "randPr-hashed":
+def priority_columns(
+    spec: AlgorithmSpec,
+    compiled: CompiledInstance,
+    start: int,
+    stop: int,
+    uniforms: Optional[np.ndarray] = None,
+    salts: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """The priorities of columns ``start .. stop-1`` for a static-priority spec.
+
+    The one definition of every static kind's priority rule, shared by the
+    whole-instance :func:`priority_matrix` and the streaming engine's
+    column-chunked draws.  The caller supplies the randomness, so each
+    engine keeps its own stream type: ``uniforms`` is the ``(trials,
+    stop - start)`` block of per-trial ``random()`` values for the
+    :data:`UNIFORM_DRAW_KINDS`, ``salts`` the per-trial ``getrandbits(64)``
+    values of a fresh-salt ``randPr-hashed`` spec.  Randomized kinds return
+    one row per trial and deterministic ones a single ``(1, count)`` row.
+
+    A randPr draw of exactly 0.0 comes back as priority 0.0; the reference
+    redraws it, so callers replay such trials through
+    :func:`reference_priority_row` (see :func:`zero_draw_trials`).
+
+    >>> from repro.core import OnlineInstance, SetSystem
+    >>> from repro.engine.compile import compile_instance
+    >>> system = SetSystem(sets={"A": ["u"], "B": ["u"], "C": ["u"]})
+    >>> compiled = compile_instance(OnlineInstance(system, name="demo"))
+    >>> priority_columns(AlgorithmSpec("first-listed"), compiled, 1, 3)
+    array([[-1., -2.]])
+    """
+    kind = spec.kind
+    count = stop - start
+    set_ids = compiled.set_ids[start:stop]
+    exponents = compiled.priority_exponents[start:stop]
+
+    if kind == "randPr":
+        # The reference draw for column j of trial b is the j-th
+        # ``random.Random(seed + b).random()`` value raised to 1/w_j;
+        # exact_pow applies the very libm ``pow`` the reference ``**`` calls.
+        return rng_bridge.exact_pow(uniforms, exponents)
+    if kind == "uniform-priority":
+        # The draws *are* the priorities (randPr with R_1 applies no
+        # transform at all).  Copy: the bridge's cached table is read-only.
+        return np.array(uniforms, dtype=np.float64)
+    if kind == "randPr-hashed":
         if spec.salt is not None:
+            # Python floats, so the arithmetic inside the scalar helper is
+            # the very same arithmetic the reference algorithm performs.
+            clamped = compiled.clamped_weights[start:stop].tolist()
             row = [
                 hash_priority(set_id, weight, salt=spec.salt)
-                for set_id, weight in zip(compiled.set_ids, clamped)
+                for set_id, weight in zip(set_ids, clamped)
             ]
-            return np.asarray(row, dtype=np.float64).reshape(1, m)
-        # Fresh salt per trial, replayed through the bridge
-        # (``getrandbits(64)`` is the first generator pair); the per-set
-        # SHA-256 evaluations dominate and have no vectorized form, so the
-        # hash loop stays scalar while the inverse-CDF transform shares
-        # exact_pow with the randPr path.
-        salts = rng_bridge.getrandbits64(seed, trials)
-        uniforms = np.empty((trials, m), dtype=np.float64)
+            return np.asarray(row, dtype=np.float64).reshape(1, count)
+        # Fresh salt per trial; the per-set SHA-256 evaluations dominate and
+        # have no vectorized form, so the hash loop stays scalar while the
+        # inverse-CDF transform shares exact_pow with the randPr path.
+        block = np.empty((len(salts), count), dtype=np.float64)
         for trial, salt_value in enumerate(salts):
             salt = f"salt-{salt_value:016x}"
-            uniforms[trial] = [
-                hash_unit_interval(set_id, salt=salt) for set_id in compiled.set_ids
-            ]
+            block[trial] = [hash_unit_interval(set_id, salt=salt) for set_id in set_ids]
         # hash_priority nudges an exactly-zero hash away from the origin.
-        np.copyto(uniforms, 2.0 ** -64, where=(uniforms == 0.0))
-        return rng_bridge.exact_pow(uniforms, compiled.priority_exponents)
-
-    if spec.kind == "static-order":
+        np.copyto(block, 2.0 ** -64, where=(block == 0.0))
+        return rng_bridge.exact_pow(block, exponents)
+    if kind == "static-order":
         salt = spec.salt if spec.salt is not None else "static-order"
-        row = [hash_unit_interval(set_id, salt=salt) for set_id in compiled.set_ids]
-        return np.asarray(row, dtype=np.float64).reshape(1, m)
-
-    if spec.kind == "first-listed":
+        row = [hash_unit_interval(set_id, salt=salt) for set_id in set_ids]
+        return np.asarray(row, dtype=np.float64).reshape(1, count)
+    if kind == "first-listed":
         # Parents arrive in column order; preferring low columns reproduces
         # "take the first b(u) parents as announced".
-        return (-np.arange(m, dtype=np.float64)).reshape(1, m)
+        return (-np.arange(start, stop, dtype=np.float64)).reshape(1, count)
+    if kind == "largest-set-first":
+        return compiled.sizes[start:stop].astype(np.float64).reshape(1, count)
+    if kind == "smallest-set-first":
+        return (-compiled.sizes[start:stop].astype(np.float64)).reshape(1, count)
+    raise UnsupportedAlgorithmError(f"kind {kind!r} has no static priority matrix")
 
-    if spec.kind == "largest-set-first":
-        return compiled.sizes.astype(np.float64).reshape(1, m)
 
-    if spec.kind == "smallest-set-first":
-        return (-compiled.sizes.astype(np.float64)).reshape(1, m)
+def zero_draw_trials(uniforms: np.ndarray) -> List[int]:
+    """The trials (rows) whose ``random()`` draws include an exact 0.0.
 
-    raise UnsupportedAlgorithmError(
-        f"kind {spec.kind!r} has no static priority matrix"
+    ``sample_priority`` redraws a 0.0 uniform, so from that draw on the
+    trial's reference stream runs ahead of the vectorized one (probability
+    ~2^-53 per draw); such trials are replayed whole through
+    :func:`reference_priority_row`.
+    """
+    return np.flatnonzero((uniforms == 0.0).any(axis=1)).tolist()
+
+
+def reference_priority_row(compiled: CompiledInstance, seed: int) -> np.ndarray:
+    """One randPr trial's ``(m,)`` priorities, drawn the reference way.
+
+    The scalar fallback for :func:`zero_draw_trials`: it *is* the reference
+    arithmetic (``sample_priority`` over ``random.Random(seed)``), redraws
+    included.
+    """
+    replay = random.Random(seed)
+    return np.asarray(
+        [sample_priority(weight, replay) for weight in compiled.clamped_weights.tolist()],
+        dtype=np.float64,
     )

@@ -49,27 +49,33 @@ documents the dataflow, the frame lifecycle and this caveat in detail.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.core.algorithm import OnlineAlgorithm
-from repro.core.priorities import hash_priority, hash_unit_interval, sample_priority
 from repro.core.set_system import InvalidSetSystemError
 from repro.engine import rng as rng_bridge
 from repro.engine.batch import (
     BatchResult,
+    _batch_result,
+    _contested_groups,
+    _drop_losers,
     _run_greedy,
+    _run_static,
     _run_uniform_random,
 )
-from repro.engine.compile import ZERO_WEIGHT_CLAMP
+from repro.engine.compile import CompiledInstance
 from repro.engine.specs import (
     GREEDY_KINDS,
     PER_STEP_RANDOM_KINDS,
+    UNIFORM_DRAW_KINDS,
     AlgorithmSpec,
+    priority_columns,
+    reference_priority_row,
     resolve_spec,
+    zero_draw_trials,
 )
 from repro.exceptions import OspError
 
@@ -87,16 +93,16 @@ DEFAULT_WINDOW_SLOTS = 1024
 
 
 @dataclass(frozen=True)
-class CompiledTrace:
+class CompiledTrace(CompiledInstance):
     """A router :class:`~repro.network.traffic.Trace` flattened for streaming.
 
-    The per-set and per-step arrays mirror
-    :class:`~repro.engine.compile.CompiledInstance` exactly — columns are the
-    frame identifiers in ``repr`` order, steps are the non-empty slots in
-    time order with their parent columns ascending — so the greedy and
-    per-arrival replay kernels of :mod:`repro.engine.batch` run on a
-    ``CompiledTrace`` unchanged.  On top of that, the trace-specific arrays
-    pin each frame's **lifecycle**:
+    A :class:`~repro.engine.compile.CompiledInstance` whose arrays are
+    exactly those of ``compile_instance(trace.to_instance())`` — columns are
+    the frame identifiers in ``repr`` order, steps are the non-empty slots in
+    time order with their parent columns ascending — so every replay kernel
+    of :mod:`repro.engine.batch` runs on it unchanged (and
+    :func:`~repro.engine.batch.simulate_batch` accepts it whole).  On top of
+    that, the trace-specific arrays pin each frame's **lifecycle**:
 
     ``step_slots``
         ``(n,)`` int64 — the time slot of each arrival step (strictly
@@ -124,17 +130,6 @@ class CompiledTrace:
     2
     """
 
-    name: str
-    set_ids: Tuple[str, ...]
-    set_index: Mapping[str, int] = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    clamped_weights: np.ndarray = field(repr=False)
-    sizes: np.ndarray = field(repr=False)
-    step_indptr: np.ndarray = field(repr=False)
-    step_parents: np.ndarray = field(repr=False)
-    step_capacities: np.ndarray = field(repr=False)
-    weight_class: np.ndarray = field(repr=False)
-    priority_exponents: np.ndarray = field(repr=False)
     step_slots: np.ndarray = field(repr=False)
     first_slot: np.ndarray = field(repr=False)
     last_slot: np.ndarray = field(repr=False)
@@ -142,16 +137,6 @@ class CompiledTrace:
     num_slots: int = 0
     num_packets: int = 0
     link_capacity: int = 1
-
-    @property
-    def num_sets(self) -> int:
-        """The number of frames ``m`` (columns)."""
-        return len(self.set_ids)
-
-    @property
-    def num_steps(self) -> int:
-        """The number of arrival steps (non-empty slots)."""
-        return len(self.step_capacities)
 
     def peak_active_frames(self, window_slots: Optional[int] = None) -> int:
         """The exact peak of the streaming priority pool, in rows.
@@ -224,8 +209,6 @@ def compile_trace(trace: "Trace", name: str = "") -> CompiledTrace:
         dtype=np.float64,
         count=m,
     )
-    clamped = np.where(weights > 0.0, weights, ZERO_WEIGHT_CLAMP)
-
     sizes = np.zeros(m, dtype=np.int64)
     first_slot = np.full(m, -1, dtype=np.int64)
     last_slot = np.full(m, -1, dtype=np.int64)
@@ -264,9 +247,6 @@ def compile_trace(trace: "Trace", name: str = "") -> CompiledTrace:
         cols = parents_flat[indptr[step] : indptr[step + 1]]
         first_slot[cols] = step_slots[step]
 
-    unique_weights = np.unique(weights)
-    weight_class = (len(unique_weights) - 1) - np.searchsorted(unique_weights, weights)
-
     # Sequential-sweep admission bound: column j must be drawn when the
     # first packet of ANY column >= j arrives (suffix minimum; columns with
     # no packets inherit the bound of their successors and hold no row).
@@ -278,18 +258,15 @@ def compile_trace(trace: "Trace", name: str = "") -> CompiledTrace:
         admission[j] = suffix
 
     n = len(step_slots)
-    return CompiledTrace(
+    return CompiledTrace.from_columns(
         name=name or "trace",
         set_ids=frame_ids,
         set_index=set_index,
         weights=weights,
-        clamped_weights=clamped,
         sizes=sizes,
         step_indptr=np.asarray(indptr, dtype=np.int64),
         step_parents=np.asarray(parents_flat, dtype=np.int64),
         step_capacities=np.full(n, capacity, dtype=np.int64),
-        weight_class=weight_class.astype(np.int64),
-        priority_exponents=1.0 / clamped,
         step_slots=np.asarray(step_slots, dtype=np.int64),
         first_slot=first_slot,
         last_slot=last_slot,
@@ -304,13 +281,14 @@ class _StaticKeySource:
     """Sequential column-chunk supplier of negated static-priority rows.
 
     ``draw(start, count)`` returns the ``(rows, count)`` *negated* priority
-    block of columns ``start .. start+count-1`` ("lower key wins", matching
-    the batch engine's ``_run_static(-priorities)`` convention).  Randomized
-    kinds consume the per-trial ``random()`` streams strictly in column
-    order, which is what makes the chunked draws bit-equal to the one-shot
-    ``priority_matrix`` table; ``zero_trials`` collects the trials whose
-    uniforms hit exactly 0.0 (randPr redraws those, desynchronizing the
-    stream — such trials are replayed scalar at the end).
+    block of columns ``start .. start+count-1`` ("lower key wins", the
+    batch engine's ``_run_static(-priorities)`` convention), computed by the
+    same :func:`~repro.engine.specs.priority_columns` as the one-shot
+    ``priority_matrix``.  Randomized kinds consume the per-trial
+    ``random()`` streams strictly in column order, which is what makes the
+    chunked draws bit-equal to that table; ``zero_trials`` collects the
+    trials whose uniforms hit exactly 0.0 (randPr redraws those — they are
+    replayed from the reference draws at the end).
     """
 
     def __init__(
@@ -318,67 +296,22 @@ class _StaticKeySource:
     ) -> None:
         self._spec = spec
         self._compiled = compiled
-        self._rows = rows
+        self._uniforms = self._salts = None
         self.zero_trials: set = set()
-        kind = spec.kind
-        if kind in ("randPr", "uniform-priority"):
+        if spec.kind in UNIFORM_DRAW_KINDS:
             self._uniforms = rng_bridge.UniformStreams(seed, rows)
-        elif kind == "randPr-hashed" and spec.salt is None:
-            self._salts = [
-                f"salt-{value:016x}" for value in rng_bridge.getrandbits64(seed, rows)
-            ]
-        self._clamped: Optional[List[float]] = None
-
-    def _clamped_floats(self) -> List[float]:
-        if self._clamped is None:
-            self._clamped = [float(v) for v in self._compiled.clamped_weights]
-        return self._clamped
+        elif spec.kind == "randPr-hashed" and spec.salt is None:
+            self._salts = rng_bridge.getrandbits64(seed, rows)
 
     def draw(self, start: int, count: int) -> np.ndarray:
-        compiled = self._compiled
-        kind = self._spec.kind
-        exponents = compiled.priority_exponents[start : start + count]
-        if kind == "randPr":
+        uniforms = None
+        if self._uniforms is not None:
             uniforms = self._uniforms.next(count)
-            zero_rows = np.flatnonzero((uniforms == 0.0).any(axis=1))
-            self.zero_trials.update(int(b) for b in zero_rows)
-            return -rng_bridge.exact_pow(uniforms, exponents)
-        if kind == "uniform-priority":
-            return -self._uniforms.next(count)
-        if kind == "randPr-hashed":
-            clamped = self._clamped_floats()
-            if self._spec.salt is not None:
-                row = [
-                    hash_priority(compiled.set_ids[j], clamped[j], salt=self._spec.salt)
-                    for j in range(start, start + count)
-                ]
-                return -np.asarray(row, dtype=np.float64).reshape(1, count)
-            block = np.empty((self._rows, count), dtype=np.float64)
-            for offset, j in enumerate(range(start, start + count)):
-                set_id = compiled.set_ids[j]
-                block[:, offset] = [
-                    hash_unit_interval(set_id, salt=salt) for salt in self._salts
-                ]
-            np.copyto(block, 2.0 ** -64, where=(block == 0.0))
-            return -rng_bridge.exact_pow(block, exponents)
-        if kind == "static-order":
-            salt = self._spec.salt if self._spec.salt is not None else "static-order"
-            row = [
-                hash_unit_interval(compiled.set_ids[j], salt=salt)
-                for j in range(start, start + count)
-            ]
-            return -np.asarray(row, dtype=np.float64).reshape(1, count)
-        if kind == "first-listed":
-            return np.arange(start, start + count, dtype=np.float64).reshape(1, count)
-        if kind == "largest-set-first":
-            return -compiled.sizes[start : start + count].astype(np.float64).reshape(
-                1, count
-            )
-        if kind == "smallest-set-first":
-            return compiled.sizes[start : start + count].astype(np.float64).reshape(
-                1, count
-            )
-        raise AssertionError(f"not a static kind: {kind!r}")  # pragma: no cover
+            if self._spec.kind == "randPr":
+                self.zero_trials.update(zero_draw_trials(uniforms))
+        return -priority_columns(
+            self._spec, self._compiled, start, start + count, uniforms, self._salts
+        )
 
 
 class _RowPool:
@@ -419,55 +352,6 @@ class _RowPool:
             self._occupied -= 1
 
 
-def _apply_contested(
-    pool: _RowPool,
-    groups: Dict[Tuple[int, int], List[np.ndarray]],
-    completed: np.ndarray,
-) -> None:
-    """Scatter the drops of one window's contested steps into ``completed``.
-
-    The exact grouped-partial-sort arithmetic of the batch engine's
-    ``_run_static``, with keys gathered through the pool's slot indirection.
-    """
-    rows = completed.shape[0]
-    contested_columns = []
-    dropped_blocks = []
-    for (width, step_capacity), column_lists in groups.items():
-        stacked = np.stack(column_lists)  # (steps_in_group, width)
-        sub = pool.keys[:, pool.slot_of[stacked]]  # (rows, steps, width)
-        if step_capacity == 1:
-            choice = np.argmin(sub, axis=2)
-            assigned = choice[..., np.newaxis] == np.arange(width)
-        else:
-            order = np.argsort(sub, axis=2, kind="stable")
-            assigned = np.zeros(sub.shape, dtype=bool)
-            np.put_along_axis(assigned, order[..., :step_capacity], True, axis=2)
-        contested_columns.append(stacked.ravel())
-        dropped_blocks.append((~assigned).reshape(rows, -1))
-    if contested_columns:
-        all_columns = np.concatenate(contested_columns)
-        all_dropped = np.concatenate(dropped_blocks, axis=1)
-        trial_index, incidence_index = np.nonzero(all_dropped)
-        completed[trial_index, all_columns[incidence_index]] = False
-
-
-def _replay_static_trial_scalar(
-    compiled: CompiledTrace, keys: np.ndarray, completed_row: np.ndarray
-) -> None:
-    """One trial's whole-trace static replay from an explicit key row."""
-    completed_row[:] = True
-    indptr = compiled.step_indptr
-    parents = compiled.step_parents
-    capacities = compiled.step_capacities
-    for step in range(compiled.num_steps):
-        columns = parents[indptr[step] : indptr[step + 1]]
-        step_capacity = int(capacities[step])
-        if len(columns) <= step_capacity:
-            continue
-        order = np.argsort(keys[columns], kind="stable")
-        completed_row[columns[order[step_capacity:]]] = False
-
-
 def _stream_static(
     compiled: CompiledTrace,
     spec: AlgorithmSpec,
@@ -494,7 +378,6 @@ def _stream_static(
 
     indptr = compiled.step_indptr
     parents = compiled.step_parents
-    capacities = compiled.step_capacities
     step_slots = compiled.step_slots
     last_slot = compiled.last_slot
 
@@ -520,29 +403,19 @@ def _stream_static(
                 holds_row = last_slot[fresh] >= 0  # packet-less frames: draw,
                 pool.admit(fresh[holds_row], block[:, holds_row])  # never pool
                 next_col = max_needed + 1
-            groups: Dict[Tuple[int, int], List[np.ndarray]] = {}
-            for step in range(s0, s1):
-                columns = parents[indptr[step] : indptr[step + 1]]
-                width = len(columns)
-                step_capacity = int(capacities[step])
-                if width > step_capacity:
-                    groups.setdefault((width, step_capacity), []).append(columns)
-            _apply_contested(pool, groups, completed)
+            groups = _contested_groups(compiled, int(s0), int(s1))
+            _drop_losers(pool.keys, groups, completed, pool.slot_of)
         while retire_ptr < len(retire_order) and (
             last_slot[retire_order[retire_ptr]] < window_end
         ):
             pool.retire(int(retire_order[retire_ptr]))
             retire_ptr += 1
 
-    if source.zero_trials:
-        # randPr redraws an exactly-zero uniform, so those trials' streams
-        # diverged from the chunked draws; replay them whole, scalar.
-        clamped = source._clamped_floats()
-        for trial in sorted(source.zero_trials):
-            replay = random.Random(seed + trial)
-            priorities = [sample_priority(weight, replay) for weight in clamped]
-            keys = -np.asarray(priorities, dtype=np.float64)
-            _replay_static_trial_scalar(compiled, keys, completed[trial])
+    # randPr redraws an exactly-zero uniform, so those trials' streams
+    # diverged from the chunked draws; replay them from the reference draws.
+    for trial in sorted(source.zero_trials):
+        keys = -reference_priority_row(compiled, seed + trial)
+        completed[trial] = _run_static(compiled, keys[np.newaxis])[0]
 
     if stats is not None:
         stats["windows"] = windows
@@ -615,27 +488,4 @@ def simulate_trace_batch(
                          pool_capacity_rows=0)
     else:
         completed = _stream_static(compiled, spec, trials, seed, window, stats)
-
-    # Benefit floats summed in column order — the reference engine's exact
-    # arithmetic (mirrors simulate_batch).
-    benefits = np.fromiter(
-        (sum(compiled.weights[row].tolist()) for row in completed),
-        dtype=np.float64,
-        count=completed.shape[0],
-    )
-    counts = completed.sum(axis=1, dtype=np.int64)
-    if completed.shape[0] == 1 and trials > 1:
-        completed = np.repeat(completed, trials, axis=0)
-        benefits = np.repeat(benefits, trials)
-        counts = np.repeat(counts, trials)
-
-    return BatchResult(
-        algorithm_name=spec.name,
-        instance_name=compiled.name,
-        trials=trials,
-        seed=seed,
-        set_ids=compiled.set_ids,
-        completed=completed,
-        benefits=benefits,
-        completed_counts=counts,
-    )
+    return _batch_result(spec, compiled, completed, trials, seed)
