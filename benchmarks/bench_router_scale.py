@@ -12,6 +12,7 @@ priority rows of frames whose packets are currently in flight.
 Three assertions are enforced (all three in ``--smoke``/CI):
 
 * **bit-identity probe** — before any timing is trusted, streaming results
+  of randPr, uniform-random (the per-arrival word-stream replay) and greedy
   at window sizes {1, 7, whole-trace} are compared set-for-set against the
   reference per-packet loop on a downscaled trace (the differential suite
   covers this wall exhaustively; the probe keeps the benchmark honest on
@@ -45,7 +46,11 @@ import subprocess
 import sys
 import time
 
-from repro.algorithms import GreedyWeightAlgorithm, RandPrAlgorithm
+from repro.algorithms import (
+    GreedyWeightAlgorithm,
+    RandPrAlgorithm,
+    UniformRandomAlgorithm,
+)
 from repro.core.simulation import simulate_many
 from repro.engine.streaming import (
     DEFAULT_WINDOW_SLOTS,
@@ -94,7 +99,11 @@ def _bit_identity_probe():
     """Streaming == reference on a downscaled trace, several window sizes."""
     trace = _generator().generate(num_waves=SMALL_WAVES)
     instance = trace.to_instance()
-    for algorithm in (RandPrAlgorithm(), GreedyWeightAlgorithm()):
+    for algorithm in (
+        RandPrAlgorithm(),
+        UniformRandomAlgorithm(),
+        GreedyWeightAlgorithm(),
+    ):
         reference = simulate_many(
             instance, algorithm, trials=SMALL_TRIALS, seed=SEED
         )

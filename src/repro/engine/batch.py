@@ -250,12 +250,11 @@ def _sample_uses_pool(width: int, take: int) -> bool:
     return width <= setsize
 
 
-#: Cap on redraw rounds per vectorized retry loop (the ``_randbelow`` bound
-#: rejection and the rejection-set duplicate rejection).  Every round accepts
-#: with probability > 1/2, so a trial still retrying after this many rounds
-#: has probability < 2**-64 per loop — astronomically unlikely, but the
-#: replay must stay exact even then: such trials *bail out* of the batch and
-#: are replayed through the scalar per-trial loop instead.
+#: The most words one ``_randbelow`` draw may consume, and the most duplicate
+#: redraws one rejection-set draw may make, before its trial bails out.  A
+#: word is accepted with probability >= 1/2 (exactly 1/2 when the bound is 1
+#: or a power of two), so a draw still rejecting after 64 words has
+#: probability <= 2**-64; bailed trials are replayed by the scalar loop.
 _MAX_REPLAY_ROUNDS = 64
 
 #: Trials are replayed in blocks of this many rows so the per-block word
@@ -263,176 +262,141 @@ _MAX_REPLAY_ROUNDS = 64
 #: (mirroring the draw-table blocking in :mod:`repro.engine.rng`).
 _UNIFORM_TRIAL_BLOCK = 4096
 
+#: Losers are dropped once per chunk of steps whose parent counts reach this
+#: many, so a chunk's ``(parents, block)`` outcome matrix stays small.
+_LOSER_DROP_CHUNK = 256
+
 
 def _uniform_random_steps(compiled: CompiledInstance) -> list:
-    """Per-step constants of the uniform-random replay, shared by all trials.
+    """Per-step ``(columns, width, take, use_pool)`` of the uniform-random replay.
 
-    Steps where the element fits every parent (``take == width``) consume RNG
-    but can never kill a set; steps with no parents consume nothing at all
-    (the reference algorithm returns before touching the RNG) and are
-    dropped here.
+    Steps with no parents consume no RNG (the reference algorithm returns
+    before sampling) and are skipped; ``take == width`` steps consume RNG but
+    can never kill a set.
     """
-    indptr = compiled.step_indptr
-    parents = compiled.step_parents
-    capacities = compiled.step_capacities
+    indptr, capacities = compiled.step_indptr, compiled.step_capacities
     steps = []
-    for step in range(compiled.num_steps):
-        columns = parents[indptr[step] : indptr[step + 1]]
-        width = len(columns)
-        if width == 0:
-            continue
-        take = min(int(capacities[step]), width)
+    for step in np.flatnonzero(np.diff(indptr)).tolist():
+        columns = compiled.step_parents[indptr[step] : indptr[step + 1]]
+        width, take = len(columns), min(int(capacities[step]), len(columns))
         steps.append((columns, width, take, _sample_uses_pool(width, take)))
     return steps
 
 
-def _masked_randbelow(
-    streams: "rng_bridge.WordStreams",
-    bound: int,
-    bits: int,
-    mask: np.ndarray,
-    bailed: np.ndarray,
-) -> np.ndarray:
-    """One ``_randbelow(bound)`` per masked trial, replayed over word streams.
+def _loser_drop_chunks(steps: list) -> list:
+    """The static layout of the batched loser drop, per chunk of steps.
 
-    Vectorizes CPython's rejection loop (``getrandbits(bits)`` until the
-    value falls below ``bound``): every round redraws only the trials still
-    rejecting, so each trial consumes exactly as many words as its reference
-    stream.  Trials that exhaust :data:`_MAX_REPLAY_ROUNDS` are marked in
-    ``bailed`` (in place) for the scalar fallback.  Returns a full-batch
-    ``int64`` array; entries outside ``mask & ~bailed`` are meaningless
-    placeholders (zeros — always a valid index).
+    A chunk ``(first, stop, rows, layout)`` is ``steps[first:stop]``, about
+    :data:`_LOSER_DROP_CHUNK` parents; it records its draws in a ``(rows + 1,
+    batch)`` matrix: ``take`` rows per step, then a ``-1`` sentinel row.
+    ``layout`` (``None`` if no step has ``take < width``) lists those steps'
+    parents as ``(draw_rows, positions, columns, ends)``; a parent survives
+    when some ``drawn[draw_rows[d]]`` (the sentinel past its step's take)
+    equals its position.  Parents are ordered by how many earlier ones share
+    their column, so each run ``[ends[k-1], ends[k])`` has distinct columns
+    for one ``&=`` (~30x faster than :func:`_drop_losers`'s ``reduceat``).
     """
-    position = np.zeros(streams.trials, dtype=np.int64)
-    pending = mask & ~bailed
-    for _round in range(_MAX_REPLAY_ROUNDS):
-        if not pending.any():
-            return position
-        position[pending] = streams.getrandbits(bits, pending)
-        pending = pending & (position >= bound)
-    bailed |= pending
-    position[pending] = 0  # last drawn value was rejected (>= bound): replace
-    return position
+    widths = np.array([step[1] for step in steps], dtype=np.int64)
+    takes = np.array([step[2] for step in steps], dtype=np.int64)
+    offsets = np.cumsum(widths) - widths
+    cuts = (np.flatnonzero(np.diff(offsets // _LOSER_DROP_CHUNK)) + 1).tolist()
+    chunks = []
+    for first, stop in zip([0] + cuts, cuts + [len(steps)]):
+        width, take = widths[first:stop], takes[first:stop]
+        rows = int(take.sum())
+        drop = np.flatnonzero(take < width)
+        if not drop.size:
+            chunks.append((first, stop, rows, None))
+            continue
+        lengths = width[drop]
+        position = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        columns = np.concatenate([steps[first + s][0] for s in drop.tolist()])
+        order = np.argsort(columns, kind="stable")
+        ordered = columns[order]  # a column's rank: its index past its first
+        rank = np.arange(order.size) - np.searchsorted(ordered, ordered)
+        order = order[np.argsort(rank, kind="stable")]
+        step = np.repeat(drop, lengths)[order]
+        draw = np.arange(int(take[drop].max()))[:, np.newaxis]
+        first_row = (np.cumsum(take) - take)[step]
+        draw_rows = np.where(draw < take[step], first_row + draw, rows)
+        ends = np.cumsum(np.bincount(rank)).tolist()
+        layout = (draw_rows, position[order, np.newaxis], columns[order], ends)
+        chunks.append((first, stop, rows, layout))
+    return chunks
 
 
 def _replay_uniform_block(steps: list, seed: int, completed: np.ndarray) -> None:
     """Replay one trial block of the uniform-random algorithm, vectorized.
 
     ``completed`` is the block's ``(batch, m)`` all-``True`` mask, updated in
-    place.  Trial ``b`` consumes the stream of ``random.Random(seed + b)``
-    through a :class:`~repro.engine.rng.WordStreams` word matrix; both
-    ``random.sample`` branches run as array operations over the whole batch
-    at once, with masked draws keeping each trial's stream position exact
-    through the ragged ``_randbelow`` retry loops.  Trials whose retry tails
-    outlive :data:`_MAX_REPLAY_ROUNDS` fall back to the scalar per-trial
-    replay at the end.
+    place.  Trial ``b`` reads the words of ``random.Random(seed + b)``; every
+    ``_randbelow`` of either ``random.sample`` branch is one batched
+    :meth:`~repro.engine.rng.WordStreams.randbelow`.  A trial that bails out
+    (``-1``) draws on meaninglessly and is replayed scalar at the end.
     """
     batch = completed.shape[0]
+    cap = _MAX_REPLAY_ROUNDS
     streams = rng_bridge.WordStreams(seed, batch)
-    rows = np.arange(batch)
+    lanes = np.arange(batch)
     bailed = np.zeros(batch, dtype=bool)
-    for columns, width, take, use_pool in steps:
+    survived = np.ones((completed.shape[1], batch), dtype=bool)
+    for first, stop, rows, layout in _loser_drop_chunks(steps):
+        drawn = np.empty((rows + 1, batch), dtype=np.int64)
+        drawn[rows] = -1
+        row = 0
+        for _columns, width, take, use_pool in steps[first:stop]:
+            chosen = drawn[row : row + take]
+            row += take
+            if take == 1:  # both branches: one _randbelow(width)
+                chosen[0] = streams.randbelow(width, None, cap)
+            elif use_pool:  # partial Fisher-Yates over an index pool
+                pool = np.tile(np.arange(width, dtype=np.int64), (batch, 1))
+                for draw in range(take):
+                    position = streams.randbelow(width - draw, None, cap)
+                    bailed |= position < 0
+                    chosen[draw] = pool[lanes, position]
+                    pool[lanes, position] = pool[:, width - draw - 1].copy()
+            else:  # rejection set: redraw a trial's repeats of its own draws
+                for draw in range(take):
+                    position = streams.randbelow(width, None, cap)
+                    for redraws in range(cap + 1):
+                        bailed |= position < 0
+                        repeat = ~bailed & (position == chosen[:draw]).any(axis=0)
+                        if redraws == cap or not repeat.any():
+                            break
+                        position[repeat] = streams.randbelow(width, repeat, cap)
+                    bailed |= repeat
+                    chosen[draw] = position
+        bailed |= (drawn[:rows] < 0).any(axis=0)
+        if layout is not None:
+            draw_rows, positions, columns, ends = layout
+            won = drawn[draw_rows[0]] == positions
+            for more in draw_rows[1:]:
+                won |= drawn[more] == positions
+            for start, end in zip([0] + ends, ends):
+                survived[columns[start:end]] &= won[start:end]
         if bailed.all():
             break
-        # Positions default to 0 (a valid index) wherever a trial is bailed
-        # or mid-retry, so the full-batch gathers/scatters below stay in
-        # bounds; bailed rows are recomputed wholesale afterwards.
-        chosen = np.zeros((batch, take), dtype=np.int64)
-        if use_pool:
-            # random.sample's pool branch: partial Fisher-Yates over an
-            # index pool, one swap per draw, batched across trials.
-            pool = np.tile(np.arange(width, dtype=np.int64), (batch, 1))
-            for draw in range(take):
-                bound = width - draw
-                position = _masked_randbelow(
-                    streams, bound, bound.bit_length(), ~bailed, bailed
-                )
-                chosen[:, draw] = pool[rows, position]
-                pool[rows, position] = pool[:, bound - 1].copy()
-        else:
-            # random.sample's rejection-set branch: draw positions below
-            # width, redrawing duplicates.  The duplicate check compares
-            # against each trial's own earlier draws of this step.
-            bits = width.bit_length()
-            for draw in range(take):
-                position = _masked_randbelow(
-                    streams, width, bits, ~bailed, bailed
-                )
-                if draw:
-                    duplicate = ~bailed & (
-                        position[:, np.newaxis] == chosen[:, :draw]
-                    ).any(axis=1)
-                    rounds = 0
-                    while duplicate.any():
-                        rounds += 1
-                        if rounds > _MAX_REPLAY_ROUNDS:
-                            bailed |= duplicate
-                            break
-                        redrawn = _masked_randbelow(
-                            streams, width, bits, duplicate, bailed
-                        )
-                        duplicate &= ~bailed
-                        position[duplicate] = redrawn[duplicate]
-                        duplicate &= (
-                            position[:, np.newaxis] == chosen[:, :draw]
-                        ).any(axis=1)
-                chosen[:, draw] = position
-        if take < width:
-            assigned = np.zeros((batch, width), dtype=bool)
-            assigned[rows[:, np.newaxis], chosen] = True
-            completed[:, columns] &= assigned
+    completed &= survived.T
     for trial in np.flatnonzero(bailed).tolist():
         completed[trial] = True
-        dropped = _replay_uniform_trial_scalar(
-            steps, random.Random(seed + trial).getrandbits
-        )
-        if dropped:
-            completed[trial, dropped] = False
+        dropped = _replay_uniform_trial_scalar(steps, random.Random(seed + trial))
+        completed[trial, dropped] = False
 
 
-def _replay_uniform_trial_scalar(steps: list, getrandbits) -> list:
-    """One trial's scalar stream replay; returns the dropped column indices.
+def _replay_uniform_trial_scalar(steps: list, rng: random.Random) -> list:
+    """One trial's replay through ``rng.sample``; returns the dropped columns.
 
-    This is the pre-vectorization replay loop, kept as the fallback for
-    trials whose retry tails exceed :data:`_MAX_REPLAY_ROUNDS` (and as the
-    plainest statement of what the batched version must reproduce).  It
-    consumes ``getrandbits`` exactly as ``random.sample`` does: the pool swap
-    for small populations, the rejection set for large ones, each index
-    drawn through the ``_randbelow`` retry loop.
+    The fallback for trials that bail out of the batched replay, and the
+    plainest statement of what it must reproduce: the reference algorithm
+    samples ``take`` of its parents, and which positions it picks depends
+    only on the parent count and the stream.
     """
     dropped = []
-    for columns, width, take, use_pool in steps:
-        if use_pool:
-            pool = list(range(width))
-            chosen = []
-            for draw in range(take):
-                bound = width - draw
-                bits = bound.bit_length()
-                position = getrandbits(bits)
-                while position >= bound:
-                    position = getrandbits(bits)
-                chosen.append(pool[position])
-                pool[position] = pool[bound - 1]
-        else:
-            bits = width.bit_length()
-            selected = set()
-            for draw in range(take):
-                position = getrandbits(bits)
-                while position >= width:
-                    position = getrandbits(bits)
-                while position in selected:
-                    position = getrandbits(bits)
-                    while position >= width:
-                        position = getrandbits(bits)
-                selected.add(position)
-            chosen = selected
+    for columns, width, take, _use_pool in steps:
+        keep = set(rng.sample(range(width), take))
         if take < width:
-            keep = set(chosen)
-            dropped.extend(
-                column
-                for position, column in enumerate(columns.tolist())
-                if position not in keep
-            )
+            dropped += [c for p, c in enumerate(columns.tolist()) if p not in keep]
     return dropped
 
 
@@ -443,29 +407,23 @@ def _run_uniform_random(
 
     Returns the ``(trials, m)`` completed mask.  The algorithm draws fresh
     randomness at every arrival (``rng.sample`` over the parent sets), so
-    there is no static priority row to precompute — per-arrival consumption
-    disqualifies the kind from the precomputed ``random()`` draw table of
-    :mod:`repro.engine.rng`.  But ``random.sample`` selects *positions* that
-    depend only on the population size, the draw count and the RNG state,
-    and every draw bottoms out in ``getrandbits`` — one raw 32-bit word per
-    call — so the selection replays over the bridge's per-trial **word
-    streams** instead (:class:`~repro.engine.rng.WordStreams`): the pool-swap
-    branch and the rejection-set branch both run as array operations over
-    all trials at once, with masked draws advancing each trial's stream
-    position independently through the ragged ``_randbelow`` retry loops
-    (see ``docs/INTERNALS-rng.md``).  The scalar per-trial replay survives
-    only as the fallback for pathological retry tails
-    (:data:`_MAX_REPLAY_ROUNDS`).  The differential suite pins the replay
-    against the real ``rng.sample`` across every workload family, so a
-    change to CPython's selection algorithm would fail loudly, not drift
-    silently.
+    there is no static priority row to precompute.  But ``sample`` picks
+    positions from the parent count and ``_randbelow`` draws alone, so each
+    ``_randbelow`` replays for a whole trial block as one look-ahead
+    :meth:`~repro.engine.rng.WordStreams.randbelow` over per-trial word
+    streams.  Arrivals only record their draws; the losing parents are
+    dropped once per chunk of arrivals (:func:`_loser_drop_chunks`), and
+    trials that bail out after :data:`_MAX_REPLAY_ROUNDS` rejected words are
+    replayed scalar (see ``docs/INTERNALS-rng.md``).  The differential suite
+    pins the replay against the real ``rng.sample`` across every workload
+    family, so a change to CPython's selection algorithm would fail loudly,
+    not drift silently.
     """
-    m = compiled.num_sets
     steps = _uniform_random_steps(compiled)
-    completed = np.ones((trials, m), dtype=bool)
+    completed = np.ones((trials, compiled.num_sets), dtype=bool)
     for start in range(0, trials, _UNIFORM_TRIAL_BLOCK):
-        stop = min(start + _UNIFORM_TRIAL_BLOCK, trials)
-        _replay_uniform_block(steps, seed + start, completed[start:stop])
+        block = completed[start : start + _UNIFORM_TRIAL_BLOCK]
+        _replay_uniform_block(steps, seed + start, block)
     return completed
 
 

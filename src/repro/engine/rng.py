@@ -31,13 +31,10 @@ CPython's Mersenne Twister in numpy:
   vectorization here, and the draws dominate the old cost anyway.
 * Algorithms that consume the RNG *during* the arrival loop (uniform-random's
   per-arrival ``sample`` calls) cannot use a precomputed draw table, but their
-  draws still bottom out in ``getrandbits`` — one raw 32-bit word per call.
-  :func:`word_matrix` exposes the underlying ``(trials, words)`` table of raw
-  tempered outputs, and :class:`WordStreams` layers a batched
-  ``getrandbits(bits)`` replay on top of it: every trial owns an independent
-  read position, a draw advances only the trials named by a mask (so the
-  ragged ``_randbelow`` retry loops consume the right number of words per
-  trial), and the word table grows past twist boundaries on demand.
+  draws still bottom out in raw 32-bit words.  :func:`word_matrix` is the
+  ``(trials, words)`` table of them, and :class:`WordStreams` replays
+  ``getrandbits`` and ``_randbelow`` over it, batched: every trial owns an
+  independent read position, so ragged retry loops stay exact per trial.
 
 ``docs/INTERNALS-rng.md`` documents the trick, why ``getstate`` →
 ``set_state`` is exact, and the draw-order contract a new vectorizable
@@ -334,12 +331,11 @@ class WordStreams:
     ``random.Random(seed + b)`` (the batch engine's trial seeding), produced
     by the same vectorized seeding/twist/temper pipeline as
     :func:`uniform_matrix` and grown past twist boundaries on demand.  On top
-    of the raw words, :meth:`getrandbits` is a *batched* replay of CPython's
-    ``getrandbits(bits)`` for ``bits <= 32`` — one word consumed per call per
-    selected trial — and the ``mask`` parameter is what makes data-dependent
-    consumption replayable: a ``_randbelow`` retry loop advances only the
-    trials that actually redraw, so per-trial positions stay in lockstep with
-    the reference streams even when consumption is ragged across the batch.
+    of the raw words sit two batched replays of CPython draws for the trials a
+    ``mask`` selects: :meth:`getrandbits` (one word each) and
+    :meth:`randbelow` (the ``_randbelow`` rejection loop, as many words as
+    each trial's reference stream consumes), so per-trial positions stay in
+    lockstep with the references even when consumption is ragged.
 
     >>> import random
     >>> streams = WordStreams(seed=3, trials=2)
@@ -357,9 +353,6 @@ class WordStreams:
             raise ValueError(f"trials must be non-negative, got {trials}")
         self.trials = trials
         self._mt = _state_matrix_T([seed + b for b in range(trials)])
-        #: The number of words each trial has consumed so far (read-only to
-        #: callers; advanced by :meth:`getrandbits`).
-        self.positions = np.zeros(trials, dtype=np.int64)
         # The word window: rows [_base, _base + len) of the per-trial streams.
         # Rows every trial has consumed are discarded as the window slides
         # (see _ensure), so memory tracks the *spread* between the slowest
@@ -367,26 +360,38 @@ class WordStreams:
         # sequences never accumulate the whole history.
         self._base = 0
         self._words = np.empty((0, trials), dtype=np.uint32)
+        # Trial b's next word, as a flat index into the window: (p - _base)
+        # * trials + b at stream position p.
+        self._lanes = np.arange(trials)
+        self._cursor = self._lanes.copy()
         self._scratch_a = np.empty((MT_N, trials), dtype=np.uint32)
         self._scratch_b = np.empty((MT_N - 1, trials), dtype=np.uint32)
+
+    @property
+    def positions(self) -> np.ndarray:
+        """The number of words each trial has consumed so far."""
+        return self._base + self._cursor // max(self.trials, 1)
 
     @property
     def words_produced(self) -> int:
         """How many words per trial have been generated (grows in twist blocks)."""
         return self._base + self._words.shape[0]
 
-    def _ensure(self, words: int) -> None:
-        if words - self._base <= self._words.shape[0]:
+    def _ensure(self, depth: int) -> None:
+        """Make the window hold the next ``depth`` words of every trial."""
+        rows = int(self._cursor.max()) // self.trials + depth
+        if rows <= self._words.shape[0]:
             return
         # Slide the window: rows below every trial's position can never be
         # read again.  Discarding in at-least-block-sized steps keeps the
         # copy amortized against the twist work that produced the rows.
-        floor = int(self.positions.min()) if self.trials else 0
-        drop = floor - self._base
+        drop = int(self._cursor.min()) // self.trials
         if drop >= MT_N:
             self._words = self._words[drop:].copy()
             self._base += drop
-        while self._base + self._words.shape[0] < words:
+            self._cursor -= drop * self.trials
+            rows -= drop
+        while self._words.shape[0] < rows:
             _twist(self._mt, self._scratch_a[: MT_N - 1], self._scratch_b)
             block = np.empty((MT_N, self.trials), dtype=np.uint32)
             _temper(self._mt, block, self._scratch_a)
@@ -403,17 +408,83 @@ class WordStreams:
         """
         if not 1 <= bits <= 32:
             raise ValueError(f"bits must be in 1..32, got {bits}")
-        if mask is None:
-            indices = np.arange(self.trials)
-        else:
-            indices = np.flatnonzero(mask)
-        if indices.size == 0:
+        lanes = self._lanes if mask is None else np.flatnonzero(mask)
+        if lanes.size == 0:
             return np.empty(0, dtype=np.int64)
-        positions = self.positions[indices]
-        self._ensure(int(positions.max()) + 1)
-        words = self._words[positions - self._base, indices]
-        self.positions[indices] = positions + 1
-        return (words >> np.uint32(32 - bits)).astype(np.int64)
+        self._ensure(1)
+        cursor = self._cursor[lanes]
+        self._cursor[lanes] = cursor + self.trials
+        return (self._words.ravel().take(cursor) >> np.uint32(32 - bits)).astype(np.int64)
+
+    def randbelow(
+        self, bound: int, mask: "np.ndarray | None" = None, limit: int = 64
+    ) -> np.ndarray:
+        """The next ``_randbelow(bound)`` value of each selected trial.
+
+        Replays CPython's ``getrandbits(bound.bit_length())``-until-below-
+        ``bound`` loop for ``1 <= bound < 2**32``, word for word.  One flat
+        ``take`` reads each trial's next ``depth`` words, one ``argmax`` finds
+        the first accepted one, and only trials that rejected all ``depth``
+        look ahead again.  With ``r = 1 - bound / 2**bits <= 1/2`` the chance
+        a word is rejected, ``depth`` is the smallest with ``_TRIAL_BLOCK *
+        r**depth < 1``: a full trial block expects under one trial to look
+        again.  A trial that rejects ``limit`` words in a row gets ``-1``.
+        ``mask`` and the result are as in :meth:`getrandbits`.
+
+        >>> import random
+        >>> streams = WordStreams(seed=5, trials=3)
+        >>> reference = [random.Random(5 + b) for b in range(3)]
+        >>> [streams.randbelow(n).tolist() for n in (1, 6, 4)] == [
+        ...     [r.randrange(n) for r in reference] for n in (1, 6, 4)]
+        True
+        >>> streams.getrandbits(32).tolist() == [r.getrandbits(32) for r in reference]
+        True
+        """
+        bits = int(bound).bit_length()
+        if not 1 <= bits <= 32:
+            raise ValueError(f"bound must be in 1..2**32 - 1, got {bound}")
+        lanes = self._lanes if mask is None else np.flatnonzero(mask)
+        values, rows = np.full(lanes.size, -1, dtype=np.int64), np.arange(lanes.size)
+        shift = np.uint32(32 - bits)
+        ceiling = np.uint32(bound << shift)  # word < ceiling <=> accepted
+        depth = 1 + int(math.log(_TRIAL_BLOCK) / -math.log1p(-bound / (1 << bits)))
+        step = self.trials
+        while lanes.size and limit > 0:
+            depth = min(depth, limit)
+            self._ensure(depth)
+            words = self._words.ravel()
+            cursor = self._cursor[lanes]
+            block = words.take(cursor[:, np.newaxis] + np.arange(0, depth * step, step))
+            cursor += (block < ceiling).argmax(axis=1) * step
+            word = words.take(cursor)
+            hit = word < ceiling
+            cursor += step
+            if hit.all():
+                self._cursor[lanes] = cursor
+                values[rows] = word >> shift
+                break
+            cursor[~hit] += (depth - 1) * step  # rejected the whole block
+            self._cursor[lanes] = cursor
+            values[rows[hit]] = word[hit] >> shift
+            lanes, rows = lanes[~hit], rows[~hit]
+            limit -= depth
+        return values
+
+
+def _res53(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """CPython's ``genrand_res53`` over consecutive word pairs, into ``out``.
+
+    ``a = next() >> 5`` (27 bits), ``b = next() >> 6`` (26 bits), value
+    ``(a * 2**26 + b) / 2**53``.  Every step is exact in float64 (the
+    integers stay below 2**53 and the scale is a power of two), so the
+    result is bit-equal to CPython's regardless of FMA contraction.
+    """
+    scratch = np.empty(out.shape, dtype=np.uint32)
+    np.right_shift(words[0::2], 5, out=scratch)
+    np.multiply(scratch, 67108864.0, out=out)
+    np.right_shift(words[1::2], 6, out=scratch)
+    np.add(out, scratch, out=out)
+    return np.multiply(out, 1.0 / 9007199254740992.0, out=out)
 
 
 class UniformStreams:
@@ -479,18 +550,8 @@ class UniformStreams:
         # Copy the remainder (< MT_N rows) so the chunk-sized concatenation
         # above is freed as soon as the chunk is paired.
         self._pending = words[needed:].copy()
-        words = words[:needed]
-        # genrand_res53 (same arithmetic as uniform_matrix): every step is
-        # exact in float64, so the pairing is bit-equal to CPython's.
-        out = np.empty((count, self.trials), dtype=np.float64)
-        scratch = np.empty((count, self.trials), dtype=np.uint32)
-        np.right_shift(words[0::2], 5, out=scratch)
-        np.multiply(scratch, 67108864.0, out=out)
-        np.right_shift(words[1::2], 6, out=scratch)
-        np.add(out, scratch, out=out)
-        np.multiply(out, 1.0 / 9007199254740992.0, out=out)
         self.draws_produced += count
-        return out.T
+        return _res53(words[:needed], np.empty((count, self.trials))).T
 
 
 # ----------------------------------------------------------------------
@@ -565,23 +626,10 @@ def uniform_matrix(seed: int, trials: int, draws: int) -> np.ndarray:
     # F-ordered table makes every transpose below a zero-copy view.  Callers
     # only ever index and compare, which is layout-agnostic.
     out = np.empty((trials, draws), dtype=np.float64, order="F")
-    word_scratch = None
     for start in range(0, trials, _TRIAL_BLOCK):
         stop = min(start + _TRIAL_BLOCK, trials)
-        block_seeds = [seed + b for b in range(start, stop)]
-        words = _word_matrix_T(block_seeds, 2 * draws)
-        # genrand_res53: a = next() >> 5 (27 bits), b = next() >> 6 (26 bits),
-        # value = (a * 2**26 + b) / 2**53.  Every step is exact in float64
-        # (the integers stay below 2**53 and the scale is a power of two), so
-        # the result is bit-equal to CPython's regardless of FMA contraction.
-        if word_scratch is None or word_scratch.shape != (draws, stop - start):
-            word_scratch = np.empty((draws, stop - start), dtype=np.uint32)
-        high = out[start:stop].T  # (draws, block) view, C-contiguous
-        np.right_shift(words[0::2], 5, out=word_scratch)
-        np.multiply(word_scratch, 67108864.0, out=high)
-        np.right_shift(words[1::2], 6, out=word_scratch)
-        np.add(high, word_scratch, out=high)
-        np.multiply(high, 1.0 / 9007199254740992.0, out=high)
+        words = _word_matrix_T([seed + b for b in range(start, stop)], 2 * draws)
+        _res53(words, out[start:stop].T)  # a (draws, block) C-contiguous view
     out.setflags(write=False)
     if trials and draws and out.nbytes <= _UNIFORM_CACHE_MAX_BYTES:
         _UNIFORM_CACHE[key] = out

@@ -22,18 +22,13 @@ supported:
   state, so the engine recomputes an integer sort key per arrival from the
   batch state matrices.  These are deterministic, so every trial of a batch
   is the same run ("degenerate" batches).
-* **per-step-random** algorithms (``uniform-random``): a fresh draw happens
-  at every arrival, so no static priority row exists — the state-dependent
-  ``sample`` calls interleave with the arrival loop, which rules out the
+* **per-step-random** algorithms (``uniform-random``): a fresh ``sample``
+  at every arrival interleaves with the arrival loop, which rules out the
   precomputed ``random()`` draw table (the draw-order contract of
-  ``docs/INTERNALS-rng.md``).  The engine instead replays the selection over
-  the bridge's per-trial **word streams**
-  (:class:`~repro.engine.rng.WordStreams`): every ``sample`` draw bottoms
-  out in ``getrandbits`` — one raw 32-bit word per call — so both ``sample``
-  branches run as array operations over all trials at once, with masked
-  draws advancing each trial's stream position independently through the
-  ragged ``_randbelow`` retry loops.  A scalar per-trial replay survives
-  only as the fallback for pathological retry tails.
+  ``docs/INTERNALS-rng.md``).  The engine replays each ``_randbelow`` of
+  both ``sample`` branches for all trials at once over the bridge's
+  per-trial **word streams** (:meth:`~repro.engine.rng.WordStreams.randbelow`);
+  a scalar per-trial replay survives only for pathological retry tails.
 
 :func:`spec_for_algorithm` maps a reference algorithm object to its spec
 (or ``None`` when the algorithm cannot be vectorized — e.g. a custom hash

@@ -18,9 +18,8 @@ chunked **time windows**:
 * a frame's ``(trials,)`` priority row is drawn when the window containing
   its first packet-slot opens and freed once its last packet-slot has
   passed, so the resident ``(trials, active_frames)`` pool tracks the
-  *admission spread* of the trace — not its length (the same sliding-window
-  discipline as :class:`~repro.engine.rng.WordStreams`, which PR 5
-  introduced for the per-arrival kinds);
+  *admission spread* of the trace — not its length (the sliding-window
+  discipline of :class:`~repro.engine.rng.WordStreams`);
 * the draws come from :class:`~repro.engine.rng.UniformStreams`, the
   chunked form of the bridge's ``random()`` replay.
 
