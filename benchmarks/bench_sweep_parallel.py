@@ -181,21 +181,22 @@ def test_e16_sweep_parallel_speedup(run_once, experiment_report):
     assert speedup >= MIN_SPEEDUP
 
 
-#: Fault-free supervision overhead budget: the resilient pool may cost at
-#: most 5% over ``map_ordered`` (plus a small absolute grace for timer noise
-#: on shared CI runners).
+#: Fault-free supervision overhead budget: ``map_ordered`` under
+#: ``RetryPolicy()`` may cost at most 5% over the same loop fail-fast (plus a
+#: small absolute grace for timer noise on shared CI runners).
 RESILIENT_OVERHEAD_FACTOR = 1.05
 RESILIENT_OVERHEAD_GRACE_SECONDS = 0.25
 
 
 def _resilient_overhead_probe(points, workers=2, repeats=3):
-    """Best-of-N timing: supervised vs. plain pool on a fault-free sweep.
+    """Best-of-N timing: ``RetryPolicy()`` vs. fail-fast on the one pool loop.
 
-    The supervised pool must be a free upgrade when nothing fails — same
-    rows, and wall clock within :data:`RESILIENT_OVERHEAD_FACTOR` of
-    ``map_ordered`` (its event loop ticks instead of blocking on ``pool.map``,
-    which is where any overhead would come from).  Best-of-N damps scheduler
-    noise; an absolute grace keeps the check meaningful on tiny baselines.
+    Supervision must be a free upgrade when nothing fails — same rows, and
+    wall clock within :data:`RESILIENT_OVERHEAD_FACTOR` of the fail-fast
+    ``map_ordered`` run (the supervised run adds the fault-injection hooks
+    around every attempt and the retry bookkeeping, which is where any
+    overhead would come from).  Best-of-N damps scheduler noise; an absolute
+    grace keeps the check meaningful on tiny baselines.
     """
     from repro.experiments import RetryPolicy
 

@@ -19,7 +19,7 @@ Determinism contract (same as the sweep orchestrator): for fixed
 ``(algorithm, escalator, trials, seed)`` the rounds are bit-identical at any
 worker count, with the store off, cold or warm, and under any ``engine``
 selection — those knobs only move wall-clock time.  Round seeds come from
-:func:`round_seed` (a :func:`~repro.experiments.parallel.stable_seed` mix),
+:func:`round_seed` (a :func:`~repro.core.seeding.stable_seed` mix),
 and every algorithm battling the same escalator at the same level shares the
 round seed, preserving the harness's paired-comparison convention.
 
@@ -34,9 +34,9 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.seeding import stable_seed
 from repro.experiments.competitive_ratio import EXACT_SOLVER_SET_LIMIT, validate_engine
 from repro.experiments.opt_cache import attached_store, default_opt_cache
-from repro.experiments.parallel import stable_seed
 from repro.experiments.store import (
     NONEXACT_ENGINES,
     STORE_FORMAT_VERSION,
@@ -93,7 +93,7 @@ def round_seed(seed: int, escalator_name: str, level: int) -> int:
     deliberately *not* of the algorithm, so every algorithm facing the same
     escalator at the same level plays the same instance draw with the same
     trial seeds (the paired-comparison convention the rest of the harness
-    follows).  Derived with :func:`~repro.experiments.parallel.stable_seed`,
+    follows).  Derived with :func:`~repro.core.seeding.stable_seed`,
     so any process recomputes the identical value.
 
     >>> round_seed(0, "lemma9", 0)       # frozen: same value on every platform

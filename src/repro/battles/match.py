@@ -3,7 +3,7 @@
 :func:`run_match` plays every algorithm against every escalator, fanning the
 battles out over a process pool exactly like the sweep orchestrator fans out
 its units: battles are self-contained picklable tasks, mapped in submission
-order through :func:`~repro.experiments.parallel.map_ordered`, so the grid
+order through :func:`~repro.experiments.resilience.map_ordered`, so the grid
 is **bit-identical at any worker count** and with the store off, cold or
 warm (``tests/test_battles.py`` enforces both axes).  The store parameter is
 shipped to workers as a *path*; each process opens its own connection.
@@ -35,8 +35,8 @@ from repro.battles.escalators import (
 )
 from repro.exceptions import FrontierRegressionError
 from repro.experiments.competitive_ratio import validate_engine
-from repro.experiments.parallel import map_ordered, resolve_workers
-from repro.experiments.resilience import FailureReport, RetryPolicy, map_resilient
+from repro.experiments.parallel import resolve_workers
+from repro.experiments.resilience import FailureReport, RetryPolicy, map_ordered
 from repro.experiments.report import format_table
 from repro.experiments.store import store_path_from_env
 
@@ -162,8 +162,8 @@ def run_match(
     ``workers``, the store only moves wall-clock time — the battles are
     bit-identical either way.
 
-    ``policy`` supervises the grid with
-    :func:`~repro.experiments.resilience.map_resilient`: crashed workers are
+    ``policy`` supervises the grid's
+    :func:`~repro.experiments.resilience.map_ordered` pool: crashed workers are
     replaced (only the lost battles re-run), transient failures retry with
     deterministic backoff, and a cell that exhausts its budget lands in
     ``MatchResult.failures`` while the rest of the grid completes.  Battles
@@ -195,23 +195,18 @@ def run_match(
         for algorithm in algorithms
         for escalator in escalators
     ]
-    if policy is not None:
-        labels = [
-            f"{algorithm.name} vs {escalator.name}"
-            for algorithm in algorithms
-            for escalator in escalators
-        ]
-        outcome = map_resilient(
-            _run_battle_task, tasks, workers=workers, policy=policy, labels=labels
-        )
-        return MatchResult(
-            battles=tuple(
-                battle for battle in outcome.results if battle is not None
-            ),
-            failures=tuple(outcome.failures),
-        )
-    results = map_ordered(_run_battle_task, tasks, workers=workers)
-    return MatchResult(battles=tuple(results))
+    labels = [
+        f"{algorithm.name} vs {escalator.name}"
+        for algorithm in algorithms
+        for escalator in escalators
+    ]
+    outcome = map_ordered(
+        _run_battle_task, tasks, workers=workers, policy=policy, labels=labels
+    )
+    return MatchResult(
+        battles=tuple(battle for battle in outcome.results if battle is not None),
+        failures=tuple(outcome.failures),
+    )
 
 
 def compare_frontiers(

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional
 
 from repro.core.instance import OnlineInstance
+from repro.core.seeding import stable_seed
 from repro.core.set_system import ElementId, SetId
 from repro.distributed.hashing import UniversalHashFamily
 from repro.distributed.node import NodeDecision, ServerNode
 from repro.exceptions import OspError
-from repro.experiments.parallel import stable_seed
 
 __all__ = ["DistributedOutcome", "DistributedCoordinator", "round_robin_placement"]
 
@@ -30,7 +30,7 @@ PlacementFunction = Callable[[ElementId], str]
 def round_robin_placement(node_ids: List[str]) -> PlacementFunction:
     """A placement that spreads elements over nodes by a stable hash of their id.
 
-    The hash is :func:`~repro.experiments.parallel.stable_seed`, not the
+    The hash is :func:`~repro.core.seeding.stable_seed`, not the
     built-in ``hash()``: string hashing is randomized per interpreter run
     (``PYTHONHASHSEED``), so a ``hash()``-based placement would scatter the
     same element onto different nodes in different processes — fatal for a

@@ -10,7 +10,7 @@ exact engines', but individual trials need not — and in exchange gets:
 
 * **counter-based RNG**: trial ``b`` owns a ``numpy.random.Generator``
   over a ``PCG64`` whose raw 128-bit state is a pure function of
-  ``seed + b`` through :func:`~repro.experiments.parallel.stable_seed`
+  ``seed + b`` through :func:`~repro.core.seeding.stable_seed`
   (SHA-256, process- and platform-stable).  No draw table, no shared
   stream, no cache: any subset of trials can be drawn independently, in
   any order, on any worker — trivially parallel by construction, and the
@@ -58,6 +58,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from repro.core.instance import OnlineInstance
+from repro.core.seeding import stable_seed
 from repro.engine.batch import (
     BatchResult,
     _batch_result,
@@ -83,37 +84,21 @@ _FAST_TRIAL_BLOCK = 32_768
 #: statistically indistinguishable from the redraw and stays vectorized.
 _ZERO_DRAW_CLAMP = np.float32(2.0 ** -24)
 
-_stable_seed = None
-
-
-def _seed_mixer():
-    """The :func:`~repro.experiments.parallel.stable_seed` mixer, lazily.
-
-    ``repro.experiments.parallel`` is a leaf module, but importing it pulls
-    in the ``repro.experiments`` package, which imports this engine back —
-    resolving the function at first use instead of at module load keeps the
-    layering acyclic.
-    """
-    global _stable_seed
-    if _stable_seed is None:
-        from repro.experiments.parallel import stable_seed
-
-        _stable_seed = stable_seed
-    return _stable_seed
-
 
 def _pcg64_state(seed: int, trial: int) -> Tuple[int, int]:
     """The raw PCG64 ``(state, increment)`` of one trial.
 
-    Both words are :func:`~repro.experiments.parallel.stable_seed` digests
+    Both words are :func:`~repro.core.seeding.stable_seed` digests
     of ``seed + trial`` under distinct domain tags — a *counter-based*
     seeding: the state is a pure SHA-256 function of the trial index, with
     no sequential dependence between trials.  The increment is forced odd
     (PCG's LCG requires it for a full-period stream).
     """
-    mix = _seed_mixer()
     counter = seed + trial
-    return mix("osp-fast-state", counter), mix("osp-fast-inc", counter) | 1
+    return (
+        stable_seed("osp-fast-state", counter),
+        stable_seed("osp-fast-inc", counter) | 1,
+    )
 
 
 def _state_dict(state: int, inc: int) -> dict:

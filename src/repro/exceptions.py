@@ -70,6 +70,21 @@ class MeasurementFailedError(OspError):
         super().__init__(message)
         self.failures = tuple(failures)
 
+    @classmethod
+    def after_retries(cls, what: str, failures) -> "MeasurementFailedError":
+        """The error for ``failures`` of one kind of unit (``what``).
+
+        >>> from types import SimpleNamespace
+        >>> str(MeasurementFailedError.after_retries(
+        ...     "trial chunk", [SimpleNamespace(label="trials[0:4]")]))
+        '1 trial chunk(s) failed after retries: trials[0:4]'
+        """
+        labels = ", ".join(report.label for report in failures)
+        return cls(
+            f"{len(failures)} {what}(s) failed after retries: {labels}",
+            failures=failures,
+        )
+
 
 class StoreFileError(OspError):
     """Raised when a store file cannot be used as-is.

@@ -1,5 +1,6 @@
 """Experiment harness: OPT estimation, ratio measurement, sweeps and reports."""
 
+from repro.core.seeding import stable_seed
 from repro.experiments.confidence import (
     ConfidenceInterval,
     RatioWithConfidence,
@@ -39,17 +40,15 @@ from repro.experiments.orchestrator import (
     run_units_resilient,
 )
 from repro.experiments.parallel import (
-    map_ordered,
     partition_trials,
     resolve_workers,
-    stable_seed,
     workers_from_env,
 )
 from repro.experiments.resilience import (
     FailureReport,
     ResilientMapResult,
     RetryPolicy,
-    map_resilient,
+    map_ordered,
 )
 from repro.experiments.report import banner, format_markdown_table, format_sweep, format_table
 from repro.experiments.store import (
@@ -109,7 +108,6 @@ __all__ = [
     "FailureReport",
     "ResilientMapResult",
     "RetryPolicy",
-    "map_resilient",
     "banner",
     "format_markdown_table",
     "format_sweep",

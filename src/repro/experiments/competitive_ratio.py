@@ -39,8 +39,8 @@ from repro.exceptions import (
     UnsupportedAlgorithmError,
 )
 from repro.experiments.opt_cache import OptCache, default_opt_cache
-from repro.experiments.parallel import map_ordered, partition_trials, resolve_workers
-from repro.experiments.resilience import RetryPolicy, map_resilient
+from repro.experiments.parallel import partition_trials, resolve_workers
+from repro.experiments.resilience import RetryPolicy, map_ordered
 from repro.offline.exact import solve_exact
 from repro.offline.local_search import local_search_packing
 from repro.offline.lp import lp_relaxation_bound
@@ -280,8 +280,8 @@ def simulation_benefits(
     its numbers agree statistically (``tests/test_engine_fast_equivalence.py``)
     but not bit for bit, which is why it is opt-in everywhere.
 
-    ``policy`` routes the chunk fan-out through the supervised pool of
-    :func:`~repro.experiments.resilience.map_resilient` (crash recovery,
+    ``policy`` supervises the chunk fan-out of
+    :func:`~repro.experiments.resilience.map_ordered` (crash recovery,
     retry with deterministic backoff).  Unlike a sweep, a measurement cannot
     *quarantine* a chunk — dropping trials would change the benefit
     sequence — so a chunk that exhausts its retry budget raises
@@ -301,28 +301,18 @@ def simulation_benefits(
         engine=engine,
         trace=trace,
     )
-    if workers == 1 and policy is None:
-        return task((0, trials))
     chunks = partition_trials(trials, workers)
+    outcome = map_ordered(
+        task,
+        chunks,
+        workers=workers,
+        policy=policy,
+        labels=[f"trials[{offset}:{offset + count}]" for offset, count in chunks],
+    )
+    if outcome.failures:
+        raise MeasurementFailedError.after_retries("trial chunk", outcome.failures)
     benefits: List[float] = []
-    if policy is not None:
-        outcome = map_resilient(
-            task,
-            chunks,
-            workers=workers,
-            policy=policy,
-            labels=[f"trials[{offset}:{offset + count}]" for offset, count in chunks],
-        )
-        if outcome.failures:
-            raise MeasurementFailedError(
-                f"{len(outcome.failures)} trial chunk(s) failed after retries: "
-                + ", ".join(report.label for report in outcome.failures),
-                failures=outcome.failures,
-            )
-        for chunk_benefits in outcome.results:
-            benefits.extend(chunk_benefits)
-        return benefits
-    for chunk_benefits in map_ordered(task, chunks, workers=workers):
+    for chunk_benefits in outcome.results:
         benefits.extend(chunk_benefits)
     return benefits
 
@@ -430,24 +420,18 @@ def measure_suite(
         opt=opt,
         engine=engine,
     )
-    if policy is not None:
-        outcome = map_resilient(
-            task,
-            list(algorithms),
-            workers=workers,
-            policy=policy,
-            labels=[algorithm.name for algorithm in algorithms],
+    outcome = map_ordered(
+        task,
+        list(algorithms),
+        workers=workers,
+        policy=policy,
+        labels=[algorithm.name for algorithm in algorithms],
+    )
+    if outcome.failures:
+        raise MeasurementFailedError.after_retries(
+            "suite measurement", outcome.failures
         )
-        if outcome.failures:
-            raise MeasurementFailedError(
-                f"{len(outcome.failures)} suite measurement(s) failed after "
-                "retries: "
-                + ", ".join(report.label for report in outcome.failures),
-                failures=outcome.failures,
-            )
-        measurements = outcome.results
-    else:
-        measurements = map_ordered(task, list(algorithms), workers=workers)
+    measurements = outcome.results
     return {
         measurement.algorithm_name: measurement for measurement in measurements
     }

@@ -42,7 +42,7 @@ The fabric is three verbs over one shared **unit manifest**:
 **Bit-identity contract.**  Hosts, workers, shards, kill schedules and
 lease steals are wall-clock knobs: every unit is a pure function of its
 content (seeds derive from
-:func:`~repro.experiments.parallel.stable_seed`), the store keys are
+:func:`~repro.core.seeding.stable_seed`), the store keys are
 content hashes, and merged rows converge by ``INSERT OR IGNORE``
 first-writer-wins.  ``engine="fast"`` rows carry their engine tag in the
 key exactly as on one host — the fabric adds **no** key format changes and
@@ -66,6 +66,13 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.algorithms import (
+    FirstListedAlgorithm,
+    GreedyWeightAlgorithm,
+    RandPrAlgorithm,
+    UniformRandomAlgorithm,
+    UnweightedPriorityAlgorithm,
+)
 from repro.exceptions import MeasurementFailedError, OspError
 from repro.experiments.competitive_ratio import EXACT_SOLVER_SET_LIMIT, validate_engine
 from repro.experiments.harness import SweepResult, run_sweep
@@ -84,6 +91,8 @@ from repro.experiments.store import (
     merge_stores,
     unit_key,
 )
+from repro.workloads import random_online_instance
+
 __all__ = [
     "FABRIC_SPECS",
     "MANIFEST_FORMAT",
@@ -109,7 +118,13 @@ __all__ = [
 #: no separate version.
 MANIFEST_FORMAT = "osp-fabric-manifest-v1"
 
-_ALGORITHM_REGISTRY: Optional[Dict[str, type]] = None
+_ALGORITHM_REGISTRY: Dict[str, type] = {
+    "randPr": RandPrAlgorithm,
+    "uniform-priority": UnweightedPriorityAlgorithm,
+    "uniform-random": UniformRandomAlgorithm,
+    "greedy-weight": GreedyWeightAlgorithm,
+    "first-listed": FirstListedAlgorithm,
+}
 
 
 def algorithm_registry() -> Dict[str, type]:
@@ -118,27 +133,8 @@ def algorithm_registry() -> Dict[str, type]:
     Only algorithms with a stable
     :func:`~repro.experiments.store.algorithm_identity` may appear in a
     manifest — an uncacheable algorithm has no unit key for workers to
-    rendezvous on.  Loaded lazily: ``repro.algorithms`` itself imports
-    ``repro.experiments`` (via the distributed coordinator), so a
-    module-level import here would be circular.
+    rendezvous on.
     """
-    global _ALGORITHM_REGISTRY
-    if _ALGORITHM_REGISTRY is None:
-        from repro.algorithms import (
-            FirstListedAlgorithm,
-            GreedyWeightAlgorithm,
-            RandPrAlgorithm,
-            UniformRandomAlgorithm,
-            UnweightedPriorityAlgorithm,
-        )
-
-        _ALGORITHM_REGISTRY = {
-            "randPr": RandPrAlgorithm,
-            "uniform-priority": UnweightedPriorityAlgorithm,
-            "uniform-random": UniformRandomAlgorithm,
-            "greedy-weight": GreedyWeightAlgorithm,
-            "first-listed": FirstListedAlgorithm,
-        }
     return _ALGORITHM_REGISTRY
 
 
@@ -192,36 +188,21 @@ class SweepSpec:
         validate_engine(self.engine)
         if self.instances_per_point < 1:
             raise FabricError("instances_per_point must be at least 1")
-
-    def validate_algorithms(self) -> "SweepSpec":
-        """Check every algorithm name against :func:`algorithm_registry`.
-
-        Kept out of ``__post_init__`` so constructing the built-in specs at
-        import time does not pull in ``repro.algorithms`` (circular); every
-        *untrusted* path — :meth:`from_dict`, i.e. manifest loading — calls
-        this explicitly.
-        """
-        registry = algorithm_registry()
-        unknown = [name for name in self.algorithms if name not in registry]
+        unknown = [
+            name for name in self.algorithms if name not in _ALGORITHM_REGISTRY
+        ]
         if unknown:
             raise FabricError(
                 f"unknown algorithm name(s) {unknown!r}; "
-                f"known: {sorted(registry)}"
+                f"known: {sorted(_ALGORITHM_REGISTRY)}"
             )
-        return self
 
     def algorithm_instances(self):
         """Fresh algorithm objects, in spec order."""
-        registry = algorithm_registry()
-        self.validate_algorithms()
-        return [registry[name]() for name in self.algorithms]
+        return [_ALGORITHM_REGISTRY[name]() for name in self.algorithms]
 
     def points(self):
         """The ``(label, factory)`` parameter points of this sweep."""
-        # Lazy for the same reason as algorithm_registry(): repro.workloads
-        # reaches repro.network, which imports repro.experiments back.
-        from repro.workloads import random_online_instance
-
         points = []
         for num_elements in self.element_counts:
             def factory(rng, num_elements=num_elements):
@@ -261,7 +242,7 @@ class SweepSpec:
                 algorithms=tuple(str(a) for a in data["algorithms"]),
                 opt_method=str(data.get("opt_method", "auto")),
                 engine=str(data.get("engine", "auto")),
-            ).validate_algorithms()
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise FabricError(f"malformed sweep spec: {exc}") from exc
 
@@ -472,6 +453,8 @@ def work(
     table, races between hosts) duplicates wall clock, and the
     content-addressed first-writer-wins store makes the bits converge.
 
+    ``policy`` defaults to ``RetryPolicy()``: a fabric worker quarantines a
+    poison unit into ``report.failures`` rather than crashing on it.
     ``max_wait`` bounds the total time spent polling on peers (``None``:
     wait indefinitely); on timeout the worker returns with the remaining
     units unfinished — the reducer's completeness check will name them.
@@ -522,7 +505,7 @@ def work(
                     engine=spec.engine,
                     workers=workers,
                     store=str(shard_path),
-                    policy=policy,
+                    policy=policy or RetryPolicy(),
                 )
                 for (index, unit, key), result in zip(claimed, results):
                     if result is None:
@@ -712,11 +695,7 @@ def _cli_work(args) -> int:
     # counts without charging the fabric for interpreter startup.
     print(f"work seconds: {elapsed:.3f}")
     if report.failures:
-        raise MeasurementFailedError(
-            f"{len(report.failures)} fabric unit(s) failed after retries: "
-            + ", ".join(failure.label for failure in report.failures),
-            failures=report.failures,
-        )
+        raise MeasurementFailedError.after_retries("fabric unit", report.failures)
     return 0
 
 

@@ -44,7 +44,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
-from repro.experiments.parallel import stable_seed
+from repro.core.seeding import stable_seed
 
 __all__ = [
     "FAULT_PLAN_ENV_VAR",
@@ -265,8 +265,9 @@ def _fire(fault: Fault, unit: int, attempt: int) -> None:
 def maybe_inject(unit: int, attempt: int, stage: str = "start") -> None:
     """Fire every installed fault addressed to ``(unit, attempt, stage)``.
 
-    Called by :func:`repro.experiments.resilience.map_resilient` around each
-    unit attempt, in whichever process executes it.  With no plan installed
+    Called by :func:`repro.experiments.resilience.map_ordered` around each
+    unit attempt of a supervised map (one with a retry policy), in
+    whichever process executes it.  With no plan installed
     this is a single environment read.
 
     >>> FaultPlan.uninstall()

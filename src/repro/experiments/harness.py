@@ -25,7 +25,6 @@ from repro.experiments.orchestrator import (
     InstanceFactory,
     SweepUnitResult,
     build_sweep_units,
-    run_units,
     run_units_resilient,
 )
 from repro.experiments.resilience import FailureReport, RetryPolicy
@@ -241,7 +240,9 @@ def run_sweep(
         ``max_attempts`` times is quarantined into ``SweepResult.failures``
         while the healthy units complete.  Because every unit is a pure
         function of its content, retries reproduce the exact bits a
-        fault-free run yields — a fourth runtime-only knob.
+        fault-free run yields — a fourth runtime-only knob.  Without a
+        policy the pool is fail-fast: a failing unit raises its original
+        exception.
     lease_ttl:
         With a store and ``lease_ttl > 0``, each unit is claimed through
         the store's advisory lease table before computing, letting several
@@ -259,31 +260,18 @@ def run_sweep(
             "default) or False (force off)"
         )
     units = build_sweep_units(parameter_points, instances_per_point, seed)
-    failures: List[FailureReport] = []
-    if policy is not None:
-        maybe_results, failures = run_units_resilient(
-            units,
-            algorithms,
-            trials=trials_per_instance,
-            opt_method=opt_method,
-            engine=engine,
-            workers=workers,
-            store=store,
-            policy=policy,
-            lease_ttl=lease_ttl,
-        )
-        results = [result for result in maybe_results if result is not None]
-    else:
-        results = run_units(
-            units,
-            algorithms,
-            trials=trials_per_instance,
-            opt_method=opt_method,
-            engine=engine,
-            workers=workers,
-            store=store,
-            lease_ttl=lease_ttl,
-        )
+    maybe_results, failures = run_units_resilient(
+        units,
+        algorithms,
+        trials=trials_per_instance,
+        opt_method=opt_method,
+        engine=engine,
+        workers=workers,
+        store=store,
+        policy=policy,
+        lease_ttl=lease_ttl,
+    )
+    results = [result for result in maybe_results if result is not None]
 
     sweep = SweepResult(name=name, failures=failures)
     for point_index, (label, _factory) in enumerate(parameter_points):

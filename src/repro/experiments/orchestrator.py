@@ -11,7 +11,7 @@ explicit, in the PRAM style of the related parallel-algorithms literature:
    place pins the RNG stream — and wraps each ``(point, instance)`` pair in
    a self-contained, picklable :class:`SweepUnit`.
 2. **Execute** (:func:`run_units`): the units are mapped over a process pool
-   (:func:`~repro.experiments.parallel.map_ordered`; ``workers=1`` stays
+   (:func:`~repro.experiments.resilience.map_ordered`; ``workers=1`` stays
    in-process).  Each worker solves OPT through its per-process
    :func:`~repro.experiments.opt_cache.default_opt_cache`, compiles the
    instance once through the engine's compile cache, and measures every
@@ -22,7 +22,7 @@ explicit, in the PRAM style of the related parallel-algorithms literature:
 
 **Determinism contract:** for fixed inputs, ``run_sweep(..., workers=n)``
 returns *bit-identical* rows for every ``n``.  Per-unit seeds are derived
-with :func:`~repro.experiments.parallel.stable_seed` (not ``hash()``), every
+with :func:`~repro.core.seeding.stable_seed` (not ``hash()``), every
 simulation seed is a pure function of the unit, and the merge never consumes
 results in completion order.  ``tests/test_orchestrator.py`` enforces the
 contract at workers ∈ {1, 2, 4}.
@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 from repro.core.algorithm import OnlineAlgorithm
 from repro.core.bounds import BoundReport, bound_report
 from repro.core.instance import OnlineInstance
+from repro.core.seeding import stable_seed
 from repro.core.statistics import InstanceStatistics, compute_statistics
 from repro.experiments.competitive_ratio import (
     EXACT_SOLVER_SET_LIMIT,
@@ -52,13 +53,8 @@ from repro.experiments.competitive_ratio import (
     validate_engine,
 )
 from repro.experiments.opt_cache import attached_store, default_opt_cache
-from repro.experiments.parallel import map_ordered, resolve_workers, stable_seed
-from repro.experiments.resilience import (
-    FailureReport,
-    ResilientMapResult,
-    RetryPolicy,
-    map_resilient,
-)
+from repro.experiments.parallel import resolve_workers
+from repro.experiments.resilience import FailureReport, RetryPolicy, map_ordered
 from repro.experiments.store import store_for_path, unit_key
 from repro.exceptions import MeasurementFailedError
 
@@ -87,7 +83,7 @@ def instance_seed(base_seed: int, point_index: int, instance_index: int) -> int:
     ``(seed, point_index, instance_index).__hash__() & 0x7FFFFFFF`` idiom:
     tuple hashing varies across interpreters and ``PYTHONHASHSEED`` values,
     so seeds derived from it were not reproducible guarantees.  The mix is
-    :func:`~repro.experiments.parallel.stable_seed` over a tagged component
+    :func:`~repro.core.seeding.stable_seed` over a tagged component
     list, so any process — including a pool worker regenerating an instance
     from its indices — derives the identical RNG stream.
 
@@ -384,45 +380,26 @@ def run_units(
     >>> results[0].measurements[0].algorithm_name
     'greedy-weight'
 
-    With ``policy`` set, execution routes through the supervised
-    :func:`~repro.experiments.resilience.map_resilient` pool instead — but
-    this entry point still promises a *complete* result list, so any unit
-    that exhausts its retry budget raises
-    :class:`~repro.exceptions.MeasurementFailedError` (callers that want to
-    keep the healthy units use :func:`run_units_resilient`).
+    With ``policy`` set, the pool is supervised (see
+    :func:`run_units_resilient`) — but this entry point still promises a
+    *complete* result list, so any unit that exhausts its retry budget
+    raises :class:`~repro.exceptions.MeasurementFailedError` (callers that
+    want to keep the healthy units use :func:`run_units_resilient`).
     """
-    if policy is not None:
-        outcome = run_units_resilient(
-            units,
-            algorithms,
-            trials,
-            opt_method=opt_method,
-            engine=engine,
-            workers=workers,
-            store=store,
-            policy=policy,
-            lease_ttl=lease_ttl,
-        )
-        results, failures = outcome
-        if failures:
-            raise MeasurementFailedError(
-                f"{len(failures)} sweep unit(s) failed after retries: "
-                + ", ".join(report.label for report in failures),
-                failures=failures,
-            )
-        return [result for result in results if result is not None]
-    validate_engine(engine)
-    resolve_workers(workers)
-    task = partial(
-        _execute_unit,
-        algorithms=list(algorithms),
-        trials=trials,
+    results, failures = run_units_resilient(
+        units,
+        algorithms,
+        trials,
         opt_method=opt_method,
         engine=engine,
-        store_path=str(store) if store is not None else None,
+        workers=workers,
+        store=store,
+        policy=policy,
         lease_ttl=lease_ttl,
     )
-    return map_ordered(task, list(units), workers=workers)
+    if failures:
+        raise MeasurementFailedError.after_retries("sweep unit", failures)
+    return results
 
 
 def run_units_resilient(
@@ -436,20 +413,22 @@ def run_units_resilient(
     policy: Optional[RetryPolicy] = None,
     lease_ttl: float = 0.0,
 ) -> Tuple[List[Optional[SweepUnitResult]], List[FailureReport]]:
-    """Execute the units under a supervised, fault-tolerant process pool.
+    """Execute the units, keeping the healthy ones when some fail.
 
-    Like :func:`run_units`, but routed through
-    :func:`~repro.experiments.resilience.map_resilient`: worker crashes
-    rebuild the pool and requeue only the lost units, transient exceptions
-    retry with deterministic backoff, and a unit that fails
-    ``policy.max_attempts`` times is *quarantined* rather than sinking the
-    sweep.  Returns ``(results, failures)`` where ``results`` is aligned
-    with ``units`` (``None`` at quarantined slots) and ``failures`` carries
-    one structured :class:`~repro.experiments.resilience.FailureReport` per
-    quarantined unit.
+    Like :func:`run_units`, but a unit that fails ``policy.max_attempts``
+    times is *quarantined* rather than sinking the sweep.  With a
+    :class:`~repro.experiments.resilience.RetryPolicy`, the pool of
+    :func:`~repro.experiments.resilience.map_ordered` is supervised: worker
+    crashes rebuild the pool and requeue only the lost units, and transient
+    exceptions retry with deterministic backoff.  Returns ``(results,
+    failures)`` where ``results`` is aligned with ``units`` (``None`` at
+    quarantined slots) and ``failures`` carries one structured
+    :class:`~repro.experiments.resilience.FailureReport` per quarantined
+    unit.  Without a policy the map is fail-fast: ``failures`` is always
+    empty, and a failing unit raises its original exception.
 
     Because every unit is a pure function of its content (seeds derive from
-    :func:`~repro.experiments.parallel.stable_seed`, never from wall clock
+    :func:`~repro.core.seeding.stable_seed`, never from wall clock
     or process identity), a retried unit recomputes the *same bits* the
     first attempt would have produced — fault schedules join the worker
     count, the store and the choice among exact engines as wall-clock-only
@@ -471,8 +450,6 @@ def run_units_resilient(
     """
     validate_engine(engine)
     resolve_workers(workers)
-    if policy is None:
-        policy = RetryPolicy()
     task = partial(
         _execute_unit,
         algorithms=list(algorithms),
@@ -485,7 +462,7 @@ def run_units_resilient(
     labels = [
         f"{unit.label}[instance {unit.instance_index}]" for unit in units
     ]
-    outcome: ResilientMapResult = map_resilient(
+    outcome = map_ordered(
         task, list(units), workers=workers, policy=policy, labels=labels
     )
-    return list(outcome.results), list(outcome.failures)
+    return outcome.results, outcome.failures

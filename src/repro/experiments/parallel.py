@@ -1,77 +1,18 @@
-"""Process-pool primitives shared by the experiment orchestration layer.
+"""Worker-count and trial-partition helpers shared by the experiment layer.
 
 This is a *leaf* module (it imports nothing from the rest of the package) so
 that every experiment entry point — the sweep orchestrator, the measurement
-helpers, the confidence wrapper, the runner CLI — can share one process-pool
-vocabulary without import cycles.
-
-Design rules, enforced here once:
-
-* **Deterministic merge order.**  :func:`map_ordered` always returns results
-  in submission order, whatever order the workers finished in, so a parallel
-  run assembles exactly the sequence a serial run would have produced.
-* **Serial fallback.**  ``workers=1`` never touches ``multiprocessing`` — the
-  map runs in-process, which keeps single-worker behaviour identical on
-  platforms where process pools are unavailable (and makes ``workers=1``
-  the bit-identical reference for the differential tests).
-* **Stable seeding.**  :func:`stable_seed` replaces the fragile
-  ``tuple.__hash__() & 0x7FFFFFFF`` idiom: tuple hashing is an implementation
-  detail of the interpreter (and is randomized for strings), so seeds derived
-  from it are not reproducible across Python versions or ``PYTHONHASHSEED``
-  settings.  SHA-256 over a canonical encoding is stable everywhere, which is
-  also what lets a worker process re-derive the exact RNG stream for a work
-  unit from ``(base_seed, point_index, instance_index)`` alone.
+helpers, the supervised pool, the runner CLI — can share one worker-count
+vocabulary without import cycles.  The pool itself is
+:func:`repro.experiments.resilience.map_ordered`; the seed mixer is
+:func:`repro.core.seeding.stable_seed`.
 """
 
 from __future__ import annotations
 
-import hashlib
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, List, Sequence, Tuple, TypeVar, Union
+from typing import List, Tuple, Union
 
-__all__ = [
-    "stable_seed",
-    "resolve_workers",
-    "map_ordered",
-    "partition_trials",
-    "workers_from_env",
-]
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-#: Separator for the canonical :func:`stable_seed` encoding.  An ASCII unit
-#: separator cannot appear in the decimal/str renderings being joined, so the
-#: encoding of a component sequence is injective.
-_SEED_SEPARATOR = "\x1f"
-
-#: The mixed seed is truncated to 63 bits: positive, and small enough for any
-#: consumer that stores seeds in an int64 column.
-_SEED_MASK = (1 << 63) - 1
-
-
-def stable_seed(*components: Union[int, str]) -> int:
-    """Mix integers/strings into a deterministic 63-bit seed.
-
-    The mixing is SHA-256 over a canonical, type-tagged encoding of the
-    components, so it is stable across Python versions, interpreters,
-    ``PYTHONHASHSEED`` values and processes — unlike ``hash(tuple)``, which
-    this function replaces in the sweep harness.  Type tags keep ``1`` and
-    ``"1"`` distinct; the pinned-value tests in
-    ``tests/test_orchestrator.py`` freeze the function's outputs so any
-    accidental change to the encoding fails loudly.
-    """
-    parts: List[str] = []
-    for component in components:
-        if isinstance(component, bool) or not isinstance(component, (int, str)):
-            raise TypeError(
-                f"stable_seed components must be int or str, got {component!r}"
-            )
-        tag = "i" if isinstance(component, int) else "s"
-        parts.append(f"{tag}:{component}")
-    payload = _SEED_SEPARATOR.join(parts).encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
-    return int.from_bytes(digest[:8], "big") & _SEED_MASK
+__all__ = ["resolve_workers", "partition_trials", "workers_from_env"]
 
 
 def resolve_workers(workers: Union[int, str]) -> int:
@@ -114,32 +55,6 @@ def workers_from_env(name: str = "OSP_BENCH_WORKERS", default: int = 1) -> int:
     except ValueError:
         raise ValueError(f"{name} must be an integer or 'auto', got {raw!r}") from None
     return resolve_workers(value)
-
-
-def map_ordered(
-    function: Callable[[T], R],
-    items: Sequence[T],
-    workers: Union[int, str] = 1,
-) -> List[R]:
-    """Apply ``function`` to every item, returning results in item order.
-
-    ``workers=1`` runs in-process (no pool, no pickling); ``workers>1`` fans
-    the items out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
-    Either way the result list is aligned with ``items``, so callers can merge
-    deterministically.  A worker exception propagates to the caller (the pool
-    re-raises it during result iteration), preserving the original type.
-
-    ``function`` and the items must be picklable when ``workers > 1``; the
-    orchestrator keeps its work payloads to plain dataclasses for this
-    reason.
-    """
-    workers = resolve_workers(workers)
-    if workers == 1 or len(items) <= 1:
-        return [function(item) for item in items]
-    # No point forking more processes than there are items.
-    pool_size = min(workers, len(items))
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        return list(pool.map(function, items))
 
 
 def partition_trials(trials: int, workers: int) -> List[Tuple[int, int]]:

@@ -1,13 +1,20 @@
-"""Fault-tolerant execution of independent work units: the supervised pool.
+"""The supervised pool: the one place a process pool is started.
 
-:func:`~repro.experiments.parallel.map_ordered` is the right primitive when
-nothing fails: it is thin, deterministic and exact.  But one OOM-killed
-worker turns a whole sweep into a ``BrokenProcessPool`` crash, a transient
-exception aborts instead of retrying, and a hung unit stalls everything —
-there is no timeout.  This module adds the supervised variant,
-:func:`map_resilient`, which keeps the two properties that matter —
-**submission-order results** and **bit-identical values** — while surviving
-arbitrary fault schedules:
+:func:`map_ordered` applies a function to independent work units and returns
+the results in **submission order** with **bit-identical values**, whatever
+order the workers finished in — so a parallel run assembles exactly the
+sequence a serial run would have produced.  ``workers=1`` never touches
+``multiprocessing``: the map runs in-process, which keeps single-worker
+behaviour identical on platforms where process pools are unavailable (and
+makes ``workers=1`` the bit-identical reference for the differential
+tests).  Every fan-out in the package — sweep units, trial chunks, suite
+measurements, battle grids — goes through it.
+
+Without a :class:`RetryPolicy` (``policy=None``) the map is **fail-fast**:
+one attempt per unit, no timeout, no pool rebuild.  A unit's exception is
+re-raised with its original type, and a worker that dies surfaces as
+``BrokenProcessPool``.  With a policy, the same loop survives arbitrary
+fault schedules:
 
 * **Worker crashes** (``BrokenProcessPool``): the pool is rebuilt and only
   the *lost in-flight* units are requeued; completed results are kept.
@@ -17,7 +24,7 @@ arbitrary fault schedules:
 * **Transient per-unit failures**: an attempt that raises is retried up to
   :attr:`RetryPolicy.max_attempts` times with exponential backoff.  The
   backoff jitter is derived via
-  :func:`~repro.experiments.parallel.stable_seed` — never ``random.random()``
+  :func:`~repro.core.seeding.stable_seed` — never ``random.random()``
   or the wall clock — so a retried schedule is itself deterministic and can
   never perturb results (units are pure functions of their inputs; retrying
   one recomputes the identical value).
@@ -37,13 +44,15 @@ arbitrary fault schedules:
   remaining units — slower, but immune to pool pathology.
 
 Fault injection for the chaos tests lives in
-:mod:`repro.experiments.faults`; every attempt routes through
+:mod:`repro.experiments.faults`; every supervised attempt routes through
 :func:`~repro.experiments.faults.maybe_inject`, which is a no-op unless the
 ``OSP_FAULT_PLAN`` environment variable carries a plan (the env var is what
-crosses the process boundary into pool workers).
+crosses the process boundary into pool workers).  Fail-fast maps never
+fire the hooks, so the fail-fast maps nested inside a supervised unit (a
+sweep unit's trial chunks) are not hit by the unit's faults.
 
 >>> policy = RetryPolicy(max_attempts=2, backoff_base=0.0)
->>> outcome = map_resilient(len, ["a", "bb", "ccc"], policy=policy)
+>>> outcome = map_ordered(len, ["a", "bb", "ccc"], policy=policy)
 >>> outcome.results
 [1, 2, 3]
 >>> outcome.ok
@@ -54,21 +63,22 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
+from collections import defaultdict, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.core.seeding import stable_seed
 from repro.experiments import faults
-from repro.experiments.parallel import resolve_workers, stable_seed
+from repro.experiments.parallel import resolve_workers
 
 __all__ = [
     "RetryPolicy",
     "AttemptFailure",
     "FailureReport",
     "ResilientMapResult",
-    "map_resilient",
+    "map_ordered",
 ]
 
 T = TypeVar("T")
@@ -88,7 +98,7 @@ class RetryPolicy:
     enforced in pool mode only).  The backoff before attempt ``n`` is
     ``backoff_base * 2**(n - 2)`` capped at ``backoff_cap``, scaled by a
     deterministic jitter in ``[0.5, 1.0)`` derived from
-    :func:`~repro.experiments.parallel.stable_seed` — retries never consult
+    :func:`~repro.core.seeding.stable_seed` — retries never consult
     the wall clock or a global RNG, so a faulted schedule stays a pure
     function of ``(jitter_seed, unit, attempt)``.  After
     ``max_pool_rebuilds`` pool collapses the remaining units run in-process.
@@ -176,7 +186,7 @@ class FailureReport:
 
 @dataclass
 class ResilientMapResult:
-    """Everything :func:`map_resilient` observed, aligned with the items.
+    """Everything :func:`map_ordered` observed, aligned with the items.
 
     ``results[i]`` is the value of item ``i``, or ``None`` when the unit was
     quarantined (its :class:`FailureReport` is in ``failures``).  ``ok`` is
@@ -196,74 +206,53 @@ class ResilientMapResult:
         return not self.failures
 
 
-def _call_unit(function: Callable[[T], R], index: int, attempt: int, item: T) -> R:
+def _call_unit(
+    function: Callable[[T], R], index: int, attempt: int, item: T, supervised: bool
+) -> R:
     """Run one attempt of one unit, with fault-injection hooks around it.
 
     Top-level (not a closure) so process-pool workers can unpickle it.  The
-    hooks are no-ops unless ``OSP_FAULT_PLAN`` is set — the chaos tests use
-    them to kill this very process, raise transient errors, sleep past the
-    timeout or garble store bytes, at deterministic ``(unit, attempt)``
-    coordinates.
+    hooks fire only in supervised maps (``supervised``) and are no-ops unless
+    ``OSP_FAULT_PLAN`` is set — the chaos tests use them to kill this very
+    process, raise transient errors, sleep past the timeout or garble store
+    bytes, at deterministic ``(unit, attempt)`` coordinates.
     """
+    if not supervised:
+        return function(item)
     faults.maybe_inject(index, attempt, stage="start")
     result = function(item)
     faults.maybe_inject(index, attempt, stage="end")
     return result
 
 
-class _UnitState:
-    """Supervisor-side bookkeeping for one unit."""
-
-    __slots__ = ("index", "attempts", "failures")
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.attempts = 0  # failed attempts charged so far
-        self.failures: List[AttemptFailure] = []
-
-
 def _run_in_process(
     function: Callable[[T], R],
     items: Sequence[T],
     pending: Sequence[Tuple[int, int]],
-    states: Dict[int, _UnitState],
-    labels: Sequence[str],
     policy: RetryPolicy,
+    charge: Callable[[int, int, str, str], Optional[int]],
     outcome: ResilientMapResult,
 ) -> None:
     """Serial retry loop for ``pending`` ``(index, attempt)`` units.
 
-    Used for ``workers=1`` maps and as the degraded fallback after repeated
-    pool collapse.  No timeout is enforced — an in-process unit cannot be
-    preempted — but retries and quarantine behave exactly as in pool mode.
+    Used for supervised ``workers=1`` maps and as the degraded fallback
+    after repeated pool collapse.  No timeout is enforced — an in-process
+    unit cannot be preempted — but retries and quarantine behave exactly as
+    in pool mode: ``charge`` records each failed attempt and names the next
+    one (``None`` once the unit is quarantined).
     """
     for index, attempt in pending:
-        state = states[index]
-        while True:
+        while attempt is not None:
             delay = policy.backoff_seconds(index, attempt)
             if delay > 0.0:
                 time.sleep(delay)
             try:
                 outcome.results[index] = _call_unit(
-                    function, index, attempt, items[index]
+                    function, index, attempt, items[index], supervised=True
                 )
                 break
             except Exception as exc:  # noqa: BLE001 — every failure is recorded
-                state.attempts += 1
-                state.failures.append(
-                    AttemptFailure(attempt=attempt, kind="exception", error=repr(exc))
-                )
-                if state.attempts >= policy.max_attempts:
-                    outcome.failures.append(
-                        FailureReport(
-                            index=index,
-                            label=labels[index],
-                            attempts=tuple(state.failures),
-                        )
-                    )
-                    break
-                outcome.retries += 1
-                attempt = state.attempts + 1
+                attempt = charge(index, attempt, "exception", repr(exc))
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -293,32 +282,39 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
             process.join(timeout=1.0)
 
 
-def map_resilient(
+def map_ordered(
     function: Callable[[T], R],
     items: Sequence[T],
-    workers: int = 1,
+    workers: "int | str" = 1,
     policy: Optional[RetryPolicy] = None,
     labels: Optional[Sequence[str]] = None,
 ) -> ResilientMapResult:
-    """Apply ``function`` to every item under supervision; never crash whole.
+    """Apply ``function`` to every item, returning results in item order.
 
-    The resilient sibling of
-    :func:`~repro.experiments.parallel.map_ordered`: results come back in
-    item order and are bit-identical to an unsupervised run — retries
-    recompute pure functions, and the deterministic backoff jitter never
-    touches a global RNG — but worker crashes, transient exceptions and
-    hung units are survived per the :class:`RetryPolicy` instead of
-    aborting the map.  Units that exhaust their attempts are quarantined
-    into :class:`FailureReport` records; everything else completes.
+    ``workers=1`` runs in-process (no pool, no pickling); ``workers>1`` fans
+    the items out over a process pool, keeping at most ``workers`` units in
+    flight.  ``function`` and the items must be picklable when
+    ``workers > 1``; the callers keep their work payloads to plain
+    dataclasses and tuples for this reason.  Every worker the map started
+    has exited and been reaped by the time it returns or raises.
+
+    With ``policy=None`` the map is fail-fast: the first failing unit
+    re-raises its own exception (``BrokenProcessPool`` if its worker died),
+    exactly as if the caller had looped over the items itself.  With a
+    :class:`RetryPolicy`, worker crashes, transient exceptions and hung
+    units are survived instead; units that exhaust their attempts are
+    quarantined into :class:`FailureReport` records and everything else
+    completes.  Either way the values are bit-identical — retries recompute
+    pure functions, and the deterministic backoff jitter never touches a
+    global RNG.
 
     ``labels`` (optional, aligned with ``items``) names units in failure
     reports; it defaults to ``unit[i]``.
 
-    >>> outcome = map_resilient(abs, [-2, 3], workers=1)
+    >>> outcome = map_ordered(abs, [-2, 3], workers=1)
     >>> (outcome.results, outcome.ok, outcome.pool_rebuilds)
     ([2, 3], True, 0)
     """
-    policy = policy or RetryPolicy()
     workers = resolve_workers(workers)
     items = list(items)
     if labels is None:
@@ -331,18 +327,27 @@ def map_resilient(
             )
 
     outcome = ResilientMapResult(results=[None] * len(items))
-    states = {index: _UnitState(index) for index in range(len(items))}
+    in_process = workers == 1 or len(items) <= 1
+    if policy is None and in_process:
+        outcome.results = [function(item) for item in items]
+        return outcome
 
-    if workers == 1 or len(items) <= 1:
-        _run_in_process(
-            function,
-            items,
-            [(index, 1) for index in range(len(items))],
-            states,
-            labels,
-            policy,
-            outcome,
-        )
+    history: Dict[int, List[AttemptFailure]] = defaultdict(list)
+
+    def charge(index: int, attempt: int, kind: str, error: str) -> Optional[int]:
+        """Record a failed attempt: the next attempt, or None once quarantined."""
+        failures = history[index]
+        failures.append(AttemptFailure(attempt=attempt, kind=kind, error=error))
+        if len(failures) >= policy.max_attempts:
+            report = FailureReport(index, labels[index], tuple(failures))
+            outcome.failures.append(report)
+            return None
+        outcome.retries += 1
+        return len(failures) + 1
+
+    if in_process:
+        pending_units = [(index, 1) for index in range(len(items))]
+        _run_in_process(function, items, pending_units, policy, charge, outcome)
         return outcome
 
     pool_size = min(workers, len(items))
@@ -352,27 +357,18 @@ def map_resilient(
     in_flight: Dict[object, Tuple[int, int, float]] = {}
     pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(max_workers=pool_size)
     outstanding = len(items)
+    supervised = policy is not None
+    timeout = policy.timeout if supervised else None
 
-    def _charge(index: int, attempt: int, kind: str, error: str, now: float) -> bool:
-        """Record a failed attempt; requeue or quarantine.  True if requeued."""
+    def requeue(index: int, attempt: int, kind: str, error: str, now: float) -> None:
+        """Charge a failed pool attempt; schedule its retry or drop the unit."""
         nonlocal outstanding
-        state = states[index]
-        state.attempts += 1
-        state.failures.append(AttemptFailure(attempt=attempt, kind=kind, error=error))
-        if state.attempts >= policy.max_attempts:
-            outcome.failures.append(
-                FailureReport(
-                    index=index, label=labels[index], attempts=tuple(state.failures)
-                )
-            )
+        next_attempt = charge(index, attempt, kind, error)
+        if next_attempt is None:
             outstanding -= 1
-            return False
-        outcome.retries += 1
-        next_attempt = state.attempts + 1
-        pending.append(
-            (index, next_attempt, now + policy.backoff_seconds(index, next_attempt))
-        )
-        return True
+        else:
+            ready_at = now + policy.backoff_seconds(index, next_attempt)
+            pending.append((index, next_attempt, ready_at))
 
     try:
         while outstanding > 0:
@@ -385,9 +381,7 @@ def map_resilient(
                     key=lambda entry: entry[0],
                 )
                 pending.clear()
-                _run_in_process(
-                    function, items, remaining, states, labels, policy, outcome
-                )
+                _run_in_process(function, items, remaining, policy, charge, outcome)
                 return outcome
 
             now = time.monotonic()
@@ -402,10 +396,10 @@ def map_resilient(
                     pending.rotate(-1)
                     continue
                 pending.popleft()
-                future = pool.submit(_call_unit, function, index, attempt, items[index])
-                deadline = (
-                    now + policy.timeout if policy.timeout is not None else math.inf
+                future = pool.submit(
+                    _call_unit, function, index, attempt, items[index], supervised
                 )
+                deadline = now + timeout if timeout is not None else math.inf
                 in_flight[future] = (index, attempt, deadline)
 
             if not in_flight:
@@ -430,11 +424,13 @@ def map_resilient(
                 try:
                     outcome.results[index] = future.result()
                     outstanding -= 1
-                except BrokenProcessPool as exc:
-                    pool_broken = True
-                    _charge(index, attempt, "worker-crash", repr(exc), now)
                 except Exception as exc:  # noqa: BLE001 — recorded + retried
-                    _charge(index, attempt, "exception", repr(exc), now)
+                    if not supervised:
+                        raise  # fail-fast: the unit's own error, unwrapped
+                    crashed = isinstance(exc, BrokenProcessPool)
+                    pool_broken = pool_broken or crashed
+                    kind = "worker-crash" if crashed else "exception"
+                    requeue(index, attempt, kind, repr(exc), now)
 
             # Timeouts: a unit past its deadline is charged a failed attempt
             # and its (stuck) pool is recycled below.
@@ -446,7 +442,7 @@ def map_resilient(
             for future in timed_out:
                 index, attempt, deadline = in_flight.pop(future)
                 pool_broken = True
-                _charge(
+                requeue(
                     index,
                     attempt,
                     "timeout",
@@ -466,7 +462,14 @@ def map_resilient(
                     pool = None
                 else:
                     pool = ProcessPoolExecutor(max_workers=pool_size)
-    finally:
+    except BaseException:
+        # A fail-fast error or an interrupt: the in-flight siblings' results
+        # are unwanted, and a hung one would block a graceful shutdown.
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            _terminate_pool(pool)
+        raise
+    if pool is not None:
+        # Join the idle workers, so none outlives the map and their CPU time
+        # counts in this process's reaped-children usage.
+        pool.shutdown()
     return outcome

@@ -212,21 +212,32 @@ class TestCrashRecoveryAroundTheStore:
 
 
 class TestQuarantineSemantics:
-    def test_poison_unit_yields_failure_report(self):
+    @pytest.mark.parametrize(
+        "workers, unit, poisoned, healthy_label",
+        [(2, 1, "n=16", "n=24"), (1, 0, "n=24", "n=16"), (2, 0, "n=24", "n=16")],
+        ids=["unit1-w2", "unit0-w1", "unit0-w2"],
+    )
+    def test_poison_unit_yields_failure_report(
+        self, workers, unit, poisoned, healthy_label
+    ):
         baseline = _sweep(workers=1, instances=1).rows
-        # One instance per point: unit index == point index.  Poison point 1.
-        FaultPlan((Fault(action="raise", unit=1),)).install()
-        chaotic = _sweep(workers=2, instances=1, policy=FAST_POLICY)
+        # One instance per point: unit index == point index.  Unit 0 also
+        # addresses chunk 0 of every unit's nested trial map, whose fail-fast
+        # map fires no hooks — so exactly one unit is quarantined either way.
+        FaultPlan((Fault(action="raise", unit=unit),)).install()
+        chaotic = _sweep(workers=workers, instances=1, policy=FAST_POLICY)
         assert not chaotic.ok
         assert len(chaotic.failures) == 1
         report = chaotic.failures[0]
-        assert report.label == "n=16[instance 0]"
+        assert report.label == f"{poisoned}[instance 0]"
         assert len(report.attempts) == FAST_POLICY.max_attempts
         # The healthy point's rows are untouched, bit for bit.
-        healthy = [row for row in baseline if row.parameter_label == "n=24"]
-        assert [row for row in chaotic.rows if row.parameter_label == "n=24"] == healthy
+        healthy = [row for row in baseline if row.parameter_label == healthy_label]
+        assert [
+            row for row in chaotic.rows if row.parameter_label == healthy_label
+        ] == healthy
         # The poisoned point contributes no rows at all (1 instance, 0 survivors).
-        assert [row for row in chaotic.rows if row.parameter_label == "n=16"] == []
+        assert [row for row in chaotic.rows if row.parameter_label == poisoned] == []
 
     def test_run_units_with_policy_raises_on_failure(self):
         FaultPlan((Fault(action="raise", unit=0),)).install()

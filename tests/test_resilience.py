@@ -1,25 +1,27 @@
-"""Tests for the supervised process pool (``map_resilient``).
+"""Tests for the supervised process pool (``map_ordered``).
 
 The contract: supervision is a *wall-clock* knob, never a numerics knob.
-``map_resilient`` must return exactly what ``map_ordered`` returns when
-nothing fails; under crashes, transient exceptions and timeouts it must
-still return the identical values for every unit that completes; and the
-retry schedule itself must be deterministic (stable-seed jitter, no global
-RNG, no wall-clock-derived seeds).
+``map_ordered`` under a retry policy must return exactly what the fail-fast
+``map_ordered`` returns when nothing fails; under crashes, transient
+exceptions and timeouts it must still return the identical values for every
+unit that completes; and the retry schedule itself must be deterministic
+(stable-seed jitter, no global RNG, no wall-clock-derived seeds).  Without a
+policy the map is fail-fast: the unit's own exception, unwrapped.
 """
+
+import os
+import tempfile
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.experiments.parallel import (
-    map_ordered,
-    resolve_workers,
-    workers_from_env,
-)
+from repro.exceptions import MeasurementFailedError
+from repro.experiments.parallel import resolve_workers, workers_from_env
 from repro.experiments.resilience import (
     AttemptFailure,
     FailureReport,
     RetryPolicy,
-    map_resilient,
+    map_ordered,
 )
 from repro.experiments import faults
 
@@ -31,6 +33,22 @@ def _square(value):
 
 def _boom(value):
     raise ValueError(f"boom({value})")
+
+
+def _boom_on_one(item):
+    """Record the call in ``directory``, then fail on item 1 only."""
+    directory, value = item
+    os.close(tempfile.mkstemp(prefix=f"call-{value}-", dir=directory)[0])
+    if value == 1:
+        raise ValueError(f"boom({value})")
+    return value
+
+
+def _exit_on_one(value):
+    """Kill the worker process outright on item 1."""
+    if value == 1:
+        os._exit(3)
+    return value
 
 
 @pytest.fixture(autouse=True)
@@ -98,15 +116,15 @@ class TestWorkersAuto:
         assert workers_from_env() == 3
 
     def test_map_ordered_accepts_auto(self):
-        assert map_ordered(_square, [1, 2, 3], workers="auto") == [1, 4, 9]
+        assert map_ordered(_square, [1, 2, 3], workers="auto").results == [1, 4, 9]
 
 
 class TestMapResilientFaultFree:
     @pytest.mark.parametrize("workers", (1, 2, "auto"))
     def test_matches_map_ordered(self, workers):
         items = list(range(7))
-        outcome = map_resilient(_square, items, workers=workers)
-        assert outcome.results == map_ordered(_square, items)
+        outcome = map_ordered(_square, items, workers=workers)
+        assert outcome.results == map_ordered(_square, items).results
         assert outcome.ok
         assert outcome.failures == []
         assert outcome.pool_rebuilds == 0
@@ -114,19 +132,33 @@ class TestMapResilientFaultFree:
         assert outcome.retries == 0
 
     def test_empty_items(self):
-        outcome = map_resilient(_square, [], workers=4)
+        outcome = map_ordered(_square, [], workers=4)
         assert outcome.results == []
         assert outcome.ok
 
     def test_labels_must_align(self):
         with pytest.raises(ValueError):
-            map_resilient(_square, [1, 2], labels=["only-one"])
+            map_ordered(_square, [1, 2], labels=["only-one"])
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_fail_fast_reraises_the_units_own_error(self, workers, tmp_path):
+        # No policy: one attempt, and the unit's ValueError itself — not a
+        # MeasurementFailedError, not a retry.  Each call leaves a marker.
+        items = [(str(tmp_path), 0), (str(tmp_path), 1), (str(tmp_path), 2)]
+        with pytest.raises(ValueError, match="boom") as excinfo:
+            map_ordered(_boom_on_one, items, workers=workers)
+        assert not isinstance(excinfo.value, MeasurementFailedError)
+        assert len(list(tmp_path.glob("call-1-*"))) == 1
+
+    def test_fail_fast_worker_death_is_broken_pool(self):
+        with pytest.raises(BrokenProcessPool):
+            map_ordered(_exit_on_one, [0, 1, 2], workers=2)
 
 
 class TestMapResilientRetries:
     def test_transient_failure_is_retried_in_process(self):
         faults.FaultPlan((faults.Fault(action="raise", unit=1, attempt=1),)).install()
-        outcome = map_resilient(
+        outcome = map_ordered(
             _square, [1, 2, 3], workers=1, policy=RetryPolicy(backoff_base=0.0)
         )
         assert outcome.results == [1, 4, 9]
@@ -135,7 +167,7 @@ class TestMapResilientRetries:
 
     def test_transient_failure_is_retried_in_pool(self):
         faults.FaultPlan((faults.Fault(action="raise", unit=0, attempt=1),)).install()
-        outcome = map_resilient(
+        outcome = map_ordered(
             _square, [1, 2, 3], workers=2, policy=RetryPolicy(backoff_base=0.0)
         )
         assert outcome.results == [1, 4, 9]
@@ -145,7 +177,7 @@ class TestMapResilientRetries:
     @pytest.mark.parametrize("workers", (1, 2))
     def test_poison_unit_is_quarantined(self, workers):
         faults.FaultPlan((faults.Fault(action="raise", unit=2),)).install()
-        outcome = map_resilient(
+        outcome = map_ordered(
             _square,
             [1, 2, 3, 4],
             workers=workers,
@@ -163,7 +195,7 @@ class TestMapResilientRetries:
         assert "FaultInjected" in report.attempts[0].error
 
     def test_every_unit_failing_does_not_hang(self):
-        outcome = map_resilient(
+        outcome = map_ordered(
             _boom,
             [1, 2],
             workers=2,
@@ -186,7 +218,7 @@ class TestMapResilientRetries:
 class TestMapResilientCrashes:
     def test_worker_kill_is_survived(self):
         faults.FaultPlan((faults.Fault(action="kill", unit=1, attempt=1),)).install()
-        outcome = map_resilient(
+        outcome = map_ordered(
             _square,
             list(range(5)),
             workers=2,
@@ -201,7 +233,7 @@ class TestMapResilientCrashes:
         # map must fall back to in-process execution, where the kill fault is
         # a no-op by design (the supervising process must not shoot itself).
         faults.FaultPlan((faults.Fault(action="kill", unit=0),)).install()
-        outcome = map_resilient(
+        outcome = map_ordered(
             _square,
             list(range(4)),
             workers=2,
@@ -218,7 +250,7 @@ class TestMapResilientCrashes:
         faults.FaultPlan(
             (faults.Fault(action="sleep", unit=1, attempt=1, seconds=30.0),)
         ).install()
-        outcome = map_resilient(
+        outcome = map_ordered(
             _square,
             [1, 2, 3],
             workers=2,
@@ -235,7 +267,7 @@ class TestMapResilientCrashes:
         faults.FaultPlan(
             (faults.Fault(action="sleep", unit=0, seconds=30.0),)
         ).install()
-        outcome = map_resilient(
+        outcome = map_ordered(
             _square,
             [1, 2],
             workers=2,
