@@ -212,19 +212,72 @@ def _drop_losers(
     ``completed`` mask, in place.  ``keys`` holds one lower-wins key row per
     trial (or a single row for a deterministic kind); column ``j``'s key is
     ``keys[:, j]``, or ``keys[:, slot_of[j]]`` when the keys live in the
-    streaming engine's row pool.  Each group is one batched selection
-    (:func:`_select_top`) over a ``(rows, steps_in_group, width)`` gather.
+    streaming engine's row pool.
+
+    The kernel works column-major — one row per column (or slot), one lane
+    per trial — so Fortran-ordered ``keys`` and ``completed`` (what every
+    engine passes) cost no copy; C-ordered ones are equally correct.  A
+    capacity-1 group keeps a running minimum over its parent positions
+    (:func:`_first_minimum`) and ANDs each position's ``winner == p`` lanes
+    into ``completed``; a wider capacity is one :func:`_select_top` over a
+    ``(rows, steps, width)`` gather.
     """
-    rows = keys.shape[0]
+    keys_T = np.ascontiguousarray(keys.T)
+    completed_T = completed.T
     for capacity, columns in groups:
-        sub = keys[:, columns if slot_of is None else slot_of[columns]]
-        won = _select_top(sub, capacity).reshape(rows, -1)
-        # A set can sit in several steps of one group: AND its outcomes per
-        # column (segments of the column-sorted incidences), then clear.
-        flat = columns.ravel()
-        order = np.argsort(flat, kind="stable")
-        targets, starts = np.unique(flat[order], return_index=True)
-        completed[:, targets] &= np.logical_and.reduceat(won[:, order], starts, axis=1)
+        index = columns if slot_of is None else slot_of[columns]
+        if capacity == 1:
+            winner = _first_minimum(keys_T, index)
+            for position in range(columns.shape[1]):
+                _and_rows(completed_T, columns[:, position], winner == position)
+        else:
+            won = _select_top(keys[:, index], capacity).reshape(keys.shape[0], -1)
+            _and_rows(completed_T, columns.ravel(), won.T)
+
+
+def _first_minimum(keys_T: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Per step and lane, the parent position holding the smallest key.
+
+    ``index`` is a group's ``(steps, width)`` rows of ``keys_T``; returns the
+    ``(steps, lanes)`` winning positions.  The comparison is strict, so a tie
+    goes to the lower position — :func:`_select_top`'s ``argmin`` rule, the
+    reference ``(-priority, repr)`` tie-break.
+    """
+    best = keys_T[index[:, 0]]
+    winner = np.zeros(best.shape, dtype=np.min_scalar_type(index.shape[1] - 1))
+    for position in range(1, index.shape[1]):
+        candidate = keys_T[index[:, position]]
+        better = candidate < best
+        np.copyto(winner, position, where=better)
+        np.minimum(best, candidate, out=best)
+    return winner
+
+
+def _rank_runs(columns: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Order incidences into runs of distinct columns.
+
+    An incidence's rank is how many earlier incidences share its column;
+    ``order`` sorts the incidences by rank (stably) and run ``k`` is
+    ``order[ends[k-1]:ends[k]]``.  Columns within a run are distinct, so one
+    fancy-indexed ``&=`` per run clears them safely — with repeats, a
+    fancy-indexed write keeps only the last of them.
+    """
+    order = np.argsort(columns, kind="stable")
+    ordered = columns[order]
+    rank = np.empty(columns.size, dtype=np.int64)
+    rank[order] = np.arange(order.size) - np.searchsorted(ordered, ordered)
+    return np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank)).tolist()
+
+
+def _and_rows(target: np.ndarray, columns: np.ndarray, won: np.ndarray) -> None:
+    """``target[columns[i]] &= won[i]`` for every ``i``, repeats included."""
+    order, ends = _rank_runs(columns)
+    if len(ends) == 1:  # distinct columns: the rank order is the identity
+        target[columns] &= won
+        return
+    for start, end in zip([0] + ends[:-1], ends):
+        run = order[start:end]
+        target[columns[run]] &= won[run]
 
 
 def _run_static(compiled: CompiledInstance, keys: np.ndarray) -> np.ndarray:
@@ -233,9 +286,9 @@ def _run_static(compiled: CompiledInstance, keys: np.ndarray) -> np.ndarray:
     One window spanning every step, with the identity slot map; returns the
     ``(rows, m)`` completed mask for the ``(rows, m)`` lower-wins ``keys``.
     """
-    completed = np.ones((keys.shape[0], compiled.num_sets), dtype=bool)
+    completed = np.ones((keys.shape[0], compiled.num_sets), dtype=bool, order="F")
     _drop_losers(keys, _contested_groups(compiled), completed)
-    return completed
+    return np.ascontiguousarray(completed)
 
 
 def _sample_uses_pool(width: int, take: int) -> bool:
@@ -290,11 +343,9 @@ def _loser_drop_chunks(steps: list) -> list:
     :data:`_LOSER_DROP_CHUNK` parents; it records its draws in a ``(rows + 1,
     batch)`` matrix: ``take`` rows per step, then a ``-1`` sentinel row.
     ``layout`` (``None`` if no step has ``take < width``) lists those steps'
-    parents as ``(draw_rows, positions, columns, ends)``; a parent survives
-    when some ``drawn[draw_rows[d]]`` (the sentinel past its step's take)
-    equals its position.  Parents are ordered by how many earlier ones share
-    their column, so each run ``[ends[k-1], ends[k])`` has distinct columns
-    for one ``&=`` (~30x faster than :func:`_drop_losers`'s ``reduceat``).
+    parents as ``(draw_rows, positions, columns)``; a parent survives when
+    some ``drawn[draw_rows[d]]`` (the sentinel past its step's take) equals
+    its position.
     """
     widths = np.array([step[1] for step in steps], dtype=np.int64)
     takes = np.array([step[2] for step in steps], dtype=np.int64)
@@ -311,16 +362,11 @@ def _loser_drop_chunks(steps: list) -> list:
         lengths = width[drop]
         position = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         columns = np.concatenate([steps[first + s][0] for s in drop.tolist()])
-        order = np.argsort(columns, kind="stable")
-        ordered = columns[order]  # a column's rank: its index past its first
-        rank = np.arange(order.size) - np.searchsorted(ordered, ordered)
-        order = order[np.argsort(rank, kind="stable")]
-        step = np.repeat(drop, lengths)[order]
+        step = np.repeat(drop, lengths)
         draw = np.arange(int(take[drop].max()))[:, np.newaxis]
         first_row = (np.cumsum(take) - take)[step]
         draw_rows = np.where(draw < take[step], first_row + draw, rows)
-        ends = np.cumsum(np.bincount(rank)).tolist()
-        layout = (draw_rows, position[order, np.newaxis], columns[order], ends)
+        layout = (draw_rows, position[:, np.newaxis], columns)
         chunks.append((first, stop, rows, layout))
     return chunks
 
@@ -369,12 +415,11 @@ def _replay_uniform_block(steps: list, seed: int, completed: np.ndarray) -> None
                     chosen[draw] = position
         bailed |= (drawn[:rows] < 0).any(axis=0)
         if layout is not None:
-            draw_rows, positions, columns, ends = layout
+            draw_rows, positions, columns = layout
             won = drawn[draw_rows[0]] == positions
             for more in draw_rows[1:]:
                 won |= drawn[more] == positions
-            for start, end in zip([0] + ends, ends):
-                survived[columns[start:end]] &= won[start:end]
+            _and_rows(survived, columns, won)
         if bailed.all():
             break
     completed &= survived.T

@@ -259,16 +259,24 @@ def compile_instance_fast(compiled: "CompiledInstance") -> FastCompiledInstance:
     """
     if isinstance(compiled, OnlineInstance):
         compiled = compile_instance(compiled)
+    # Clamp into float32's range rather than let the cast overflow to inf
+    # (the exponent of a subnormal weight): a finite huge exponent ranks the
+    # same, and in-range values cast exactly as before.
+    limits = np.finfo(np.float32)
+
+    def narrow(values: np.ndarray) -> np.ndarray:
+        return np.clip(values, limits.min, limits.max).astype(np.float32)
+
     return FastCompiledInstance(
         name=compiled.name,
         set_ids=compiled.set_ids,
         set_index=compiled.set_index,
         weights=compiled.weights,
-        clamped_weights=compiled.clamped_weights.astype(np.float32),
+        clamped_weights=narrow(compiled.clamped_weights),
         sizes=compiled.sizes.astype(np.int32),
         step_indptr=compiled.step_indptr.astype(np.int32),
         step_parents=compiled.step_parents.astype(np.int32),
         step_capacities=compiled.step_capacities.astype(np.int32),
         weight_class=compiled.weight_class.astype(np.int32),
-        priority_exponents=compiled.priority_exponents.astype(np.float32),
+        priority_exponents=narrow(compiled.priority_exponents),
     )

@@ -238,13 +238,16 @@ def simulate_fast(
 
     fast = fast_compiled_for(instance)
     groups = _contested_groups(fast)
-    completed = np.ones((trials, fast.num_sets), dtype=bool)
+    completed = np.ones((trials, fast.num_sets), dtype=bool, order="F")
     for start in range(0, trials, _FAST_TRIAL_BLOCK):
         stop = min(start + _FAST_TRIAL_BLOCK, trials)
         priorities = _fast_priorities(spec, fast, stop - start, seed, start)
         # Negate so that "smallest key wins" with stable column tie-breaks —
-        # the exact engines' static replay kernel and tie order.
-        _drop_losers(-priorities, groups, completed[start:stop])
+        # the exact engines' static replay kernel and tie order.  The kernel
+        # reads keys column-major: negate straight into that layout.
+        keys_T = np.negative(priorities.T, order="C")
+        _drop_losers(keys_T.T, groups, completed[start:stop])
+    completed = np.ascontiguousarray(completed)
     # Float64 accumulation: one matmul against the float64 weights, so the
     # per-trial benefit (and hence every mean) is as accurate as the exact
     # engine's, even though the priorities were float32.

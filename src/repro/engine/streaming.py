@@ -314,11 +314,16 @@ class _StaticKeySource:
 
 
 class _RowPool:
-    """The sliding ``(rows, active)`` key pool with slot recycling."""
+    """The sliding key pool with slot recycling, stored ``(slots, rows)``.
+
+    Column-major, as the static replay kernel reads it: admitting a frame
+    writes one contiguous slot row, and ``keys_T.T`` is the kernel's
+    zero-copy ``(rows, slots)`` key view.
+    """
 
     def __init__(self, rows: int, num_columns: int) -> None:
         self._rows = rows
-        self.keys = np.empty((rows, 0), dtype=np.float64)
+        self.keys_T = np.empty((0, rows), dtype=np.float64)
         self.slot_of = np.full(num_columns, -1, dtype=np.int64)
         self._free: List[int] = []
         self._occupied = 0
@@ -326,20 +331,21 @@ class _RowPool:
 
     @property
     def capacity(self) -> int:
-        return self.keys.shape[1]
+        return self.keys_T.shape[0]
 
-    def admit(self, columns: np.ndarray, key_block: np.ndarray) -> None:
+    def admit(self, columns: np.ndarray, key_rows: np.ndarray) -> None:
+        """Pool ``columns``, whose ``(len(columns), rows)`` keys are ``key_rows``."""
         need = len(columns) - len(self._free)
         if need > 0:
             grown = max(self.capacity * 2, self.capacity + need, 16)
-            extra = np.empty((self._rows, grown - self.capacity), dtype=np.float64)
+            extra = np.empty((grown - self.capacity, self._rows), dtype=np.float64)
             self._free.extend(range(self.capacity, grown))
-            self.keys = np.concatenate([self.keys, extra], axis=1)
+            self.keys_T = np.concatenate([self.keys_T, extra])
         slots = np.asarray(
             [self._free.pop() for _ in range(len(columns))], dtype=np.int64
         )
         self.slot_of[columns] = slots
-        self.keys[:, slots] = key_block
+        self.keys_T[slots] = key_rows
         self._occupied += len(columns)
         self.peak_occupied = max(self.peak_occupied, self._occupied)
 
@@ -371,7 +377,7 @@ def _stream_static(
     """
     m = compiled.num_sets
     rows = 1 if spec.is_deterministic else trials
-    completed = np.ones((rows, m), dtype=bool)
+    completed = np.ones((rows, m), dtype=bool, order="F")
     source = _StaticKeySource(spec, compiled, rows, seed)
     pool = _RowPool(rows, m)
 
@@ -400,10 +406,10 @@ def _stream_static(
                 block = source.draw(next_col, max_needed + 1 - next_col)
                 fresh = np.arange(next_col, max_needed + 1)
                 holds_row = last_slot[fresh] >= 0  # packet-less frames: draw,
-                pool.admit(fresh[holds_row], block[:, holds_row])  # never pool
+                pool.admit(fresh[holds_row], block.T[holds_row])  # never pool
                 next_col = max_needed + 1
             groups = _contested_groups(compiled, int(s0), int(s1))
-            _drop_losers(pool.keys, groups, completed, pool.slot_of)
+            _drop_losers(pool.keys_T.T, groups, completed, pool.slot_of)
         while retire_ptr < len(retire_order) and (
             last_slot[retire_order[retire_ptr]] < window_end
         ):
@@ -421,7 +427,7 @@ def _stream_static(
         stats["priority_rows"] = rows
         stats["peak_pooled_rows"] = pool.peak_occupied
         stats["pool_capacity_rows"] = pool.capacity
-    return completed
+    return np.ascontiguousarray(completed)
 
 
 def simulate_trace_batch(

@@ -23,13 +23,21 @@ the differential suites can rely on them:
   ``simulate_batch`` on it equals the streaming engine for every kind;
 * the fast engine's float32 compilation runs through the same kernel but is
   refused by the exact engines.
+
+The kernel works column-major (a running minimum over each group's parent
+positions, losers cleared in runs of distinct columns), so its edge cases get
+their own hand-built instances: one set at the same position in two steps of
+a group, exact key ties across positions, groups wider than the trace's
+widest, and C- versus Fortran-ordered inputs.
 """
 
 import random
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.core import OnlineInstance, SetSystem
 from repro.engine import rng as rng_bridge
 from repro.engine.batch import (
     _contested_groups,
@@ -192,3 +200,98 @@ def test_exact_engines_refuse_the_fast_view():
         simulate_batch(fast, "randPr", trials=3, seed=SEED)
     with pytest.raises(TypeError):
         simulate_fast(fast, "greedy-weight", trials=3, seed=SEED)
+
+
+def test_fast_view_clamps_exponents_into_float32():
+    """A subnormal weight's exponent 1/w exceeds float32's range; the fast
+    view clamps it to the largest finite float32 instead of overflowing to
+    inf with a RuntimeWarning, and in-range exponents narrow unchanged."""
+    system = SetSystem({"A": ["u"], "B": ["u"]}, weights={"A": 1e-45, "B": 2.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fast = compile_instance_fast(OnlineInstance(system))
+        result = simulate_fast(fast, "randPr", trials=8, seed=SEED)
+    assert fast.priority_exponents.tolist() == [np.finfo(np.float32).max, 0.5]
+    assert result.completed_sets(0) == frozenset({"B"})
+
+
+def _hand_built(sets, capacities=None):
+    return compile_instance(OnlineInstance(SetSystem(sets, capacities=capacities)))
+
+
+def test_one_set_at_the_same_position_in_two_steps_of_a_group():
+    """Set "A" is position 0 of both width-2 steps ("u": A/B, "v": A/C), so
+    the group clears column 0 twice; losing either step must drop it,
+    whichever step the clearing visits last."""
+    compiled = _hand_built({"A": ["u", "v"], "B": ["u"], "C": ["v"]})
+    (capacity, columns), = _contested_groups(compiled)
+    assert capacity == 1 and columns[:, 0].tolist() == [0, 0]
+    keys = np.array(
+        [[1.0, 0.0, 2.0], [1.0, 2.0, 0.0], [0.0, 1.0, 2.0], [2.0, 0.0, 1.0]]
+    )
+    expected = [[False, True, False], [False, False, True],
+                [True, False, False], [False, True, True]]
+    assert _run_static(compiled, keys).tolist() == expected
+    assert np.array_equal(_run_static(compiled, keys), _scalar_static(compiled, keys))
+
+
+def test_repeated_targets_with_capacity_above_one():
+    """The same repeat inside a capacity-2 group (the _select_top path)."""
+    compiled = _hand_built(
+        {"A": ["u", "v"], "B": ["u"], "C": ["u"], "D": ["v"], "E": ["v"]},
+        capacities={"u": 2, "v": 2},
+    )
+    keys = np.random.default_rng(5).integers(0, 3, (40, 5)).astype(np.float64)
+    assert np.array_equal(_run_static(compiled, keys), _scalar_static(compiled, keys))
+
+
+def test_exact_key_ties_go_to_the_lower_position():
+    """Every key equal: each contested step keeps its first parent only, so
+    a set survives exactly when it is first in every contested step ("C"
+    loses "v" to "B", which loses "u" to "A")."""
+    compiled = _hand_built(
+        {"A": ["u"], "B": ["u", "v"], "C": ["v", "w"], "D": ["w"], "E": ["x"]}
+    )
+    keys = np.zeros((3, compiled.num_sets))
+    assert _run_static(compiled, keys).tolist() == [[True, False, False, False, True]] * 3
+    keys[1, 2] = -1.0  # C now beats B at "v" outright; the "w" tie stays C's
+    keys[2, :] = [0.5, 0.5, 0.5, 0.5, 0.5]
+    keys[2, 3] = 0.5 - 2.0 ** -53  # a one-ulp win for D at "w"
+    assert np.array_equal(_run_static(compiled, keys), _scalar_static(compiled, keys))
+    assert _run_static(compiled, keys)[1].tolist() == [True, False, True, False, True]
+    assert _run_static(compiled, keys)[2].tolist() == [True, False, False, True, True]
+
+
+@pytest.mark.parametrize("width", [11, 12, 300])
+def test_wide_groups_match_the_scalar_step_loop(width):
+    """Widths at and past the trace's widest (11), and past 255, where the
+    winning position no longer fits one byte."""
+    sets = {f"s{j:03d}": ["hub", "rim", f"own{j}"] for j in range(width)}
+    sets["lone"] = ["rim"]
+    compiled = _hand_built(sets, capacities={"rim": 2})
+    assert {columns.shape[1] for _, columns in _contested_groups(compiled)} == {
+        width, width + 1
+    }
+    keys = np.random.default_rng(width).integers(0, 4, (9, compiled.num_sets))
+    keys = keys.astype(np.float64)
+    assert np.array_equal(_run_static(compiled, keys), _scalar_static(compiled, keys))
+
+
+@pytest.mark.parametrize("index", range(len(COMPILED)))
+def test_key_and_mask_layouts_replay_identically(index):
+    """Fortran order is the kernel's zero-copy layout and C order a copy;
+    both, for keys and for the completed mask, give the same mask."""
+    compiled = COMPILED[index]
+    m = compiled.num_sets
+    keys = np.random.default_rng(index).integers(0, 3, (6, m)).astype(np.float64)
+    slot_of = np.random.default_rng(index + 7).permutation(m)
+    pooled = np.empty_like(keys)
+    pooled[:, slot_of] = keys
+    expected = _scalar_static(compiled, keys)
+    groups = _contested_groups(compiled)
+    for key_layout in (np.ascontiguousarray, np.asfortranarray):
+        for order in "CF":
+            for slots, table in ((None, keys), (slot_of, pooled)):
+                completed = np.ones((6, m), dtype=bool, order=order)
+                _drop_losers(key_layout(table), groups, completed, slots)
+                assert np.array_equal(completed, expected)

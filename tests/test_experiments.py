@@ -50,6 +50,21 @@ class TestEstimateOpt:
         estimate = estimate_opt(instance.system, method="auto", exact_set_limit=10)
         assert not estimate.is_exact
 
+    def test_lp_branch_runs_no_local_search(self, monkeypatch, tiny_system):
+        """The LP branch's lower bound is the greedy packing: local search
+        is reached only through ``method="local-search"``."""
+        from repro.experiments import competitive_ratio
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("local search ran on the LP branch")
+
+        monkeypatch.setattr(competitive_ratio, "local_search_packing", refuse)
+        large = random_online_instance(100, 150, (2, 4), random.Random(3)).system
+        for system, method in [(large, "auto"), (tiny_system, "lp")]:
+            estimate = estimate_opt(system, method=method)
+            assert not estimate.is_exact
+            assert 0.0 < estimate.lower_bound <= estimate.value + 1e-6
+
     def test_unknown_method_rejected(self, tiny_system):
         with pytest.raises(SolverError):
             estimate_opt(tiny_system, method="bogus")
