@@ -2,7 +2,8 @@
 
 Not a paper table: this experiment characterizes the reproduction itself.
 The exact batch engine is bound by its bit-exactness contract — MT19937
-draw tables, scalar libm ``pow`` (``exact_pow``), float64 everywhere.  The
+draw tables, a near-tie guard on randPr's ``pow`` keys with a reference
+replay of flagged trials, float64 everywhere.  The
 fast engine (:mod:`repro.engine.fast`, ``engine="fast"``) drops bit-identity
 for a *statistical* contract and gets counter-based PCG64 draws, float32
 priorities and numpy's vectorized power kernel.  This benchmark pins the

@@ -52,7 +52,9 @@ from repro.engine.specs import (
     PER_STEP_RANDOM_KINDS,
     AlgorithmSpec,
     priority_matrix,
+    reference_priority_row,
     resolve_spec,
+    zero_draw_trials,
 )
 
 __all__ = ["BatchResult", "simulate_batch", "batch_from_results"]
@@ -165,6 +167,16 @@ def _select_top(keys: np.ndarray, capacity: int) -> np.ndarray:
     return selected
 
 
+#: How close, in units in the last place, two approximate priorities may be
+#: before the order of their exact values is in doubt.  randPr's order keys
+#: come from numpy's SIMD ``pow``, which may differ from the libm ``pow`` of
+#: the reference by a few ulps (one on x86-64 with AVX-512); two values more
+#: than twice that error apart keep their exact order, so a trial whose
+#: contest is closer than this is replayed from the reference draws.
+#: ``tests/test_engine_order_keys.py`` measures the error this relies on.
+_GUARD_ULPS = 16
+
+
 def _contested_groups(
     compiled: CompiledInstance, start: int = 0, stop: Optional[int] = None
 ) -> List[Tuple[int, np.ndarray]]:
@@ -202,6 +214,7 @@ def _drop_losers(
     groups: List[Tuple[int, np.ndarray]],
     completed: np.ndarray,
     slot_of: Optional[np.ndarray] = None,
+    near: Optional[np.ndarray] = None,
 ) -> None:
     """The static-priority replay kernel, shared by every engine.
 
@@ -221,35 +234,66 @@ def _drop_losers(
     (:func:`_first_minimum`) and ANDs each position's ``winner == p`` lanes
     into ``completed``; a wider capacity is one :func:`_select_top` over a
     ``(rows, steps, width)`` gather.
+
+    ``near``, a ``(rows,)`` bool array, asks for the near-tie guard of
+    approximate keys: every row in which some contest's winning key and a
+    losing one lie within :data:`_GUARD_ULPS` ulps is set ``True`` (for
+    capacity ``c``, the ``c``-th and ``(c+1)``-th smallest keys).  The keys
+    must then be negated non-negative priorities, whose int64 bit patterns
+    count ulps.
     """
     keys_T = np.ascontiguousarray(keys.T)
     completed_T = completed.T
     for capacity, columns in groups:
         index = columns if slot_of is None else slot_of[columns]
         if capacity == 1:
-            winner = _first_minimum(keys_T, index)
+            winner = _first_minimum(keys_T, index, near)
             for position in range(columns.shape[1]):
                 _and_rows(completed_T, columns[:, position], winner == position)
-        else:
-            won = _select_top(keys[:, index], capacity).reshape(keys.shape[0], -1)
-            _and_rows(completed_T, columns.ravel(), won.T)
+            continue
+        contests = keys[:, index]
+        won = _select_top(contests, capacity).reshape(keys.shape[0], -1)
+        _and_rows(completed_T, columns.ravel(), won.T)
+        if near is not None:
+            edge = np.partition(contests, (capacity - 1, capacity), axis=-1)
+            bits = edge[..., capacity - 1 : capacity + 1].view(np.int64)
+            near |= (bits[..., 0] - bits[..., 1] <= _GUARD_ULPS).any(axis=1)
 
 
-def _first_minimum(keys_T: np.ndarray, index: np.ndarray) -> np.ndarray:
+def _first_minimum(
+    keys_T: np.ndarray, index: np.ndarray, near: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Per step and lane, the parent position holding the smallest key.
 
     ``index`` is a group's ``(steps, width)`` rows of ``keys_T``; returns the
     ``(steps, lanes)`` winning positions.  The comparison is strict, so a tie
     goes to the lower position — :func:`_select_top`'s ``argmin`` rule, the
     reference ``(-priority, repr)`` tie-break.
+
+    With ``near`` (see :func:`_drop_losers`), a second pass over the
+    positions counts the keys within :data:`_GUARD_ULPS` ulps of the
+    minimum, reusing the gather buffer for the bit gaps; the winner itself
+    is one, so a lane with two or more has a near tie.
     """
     best = keys_T[index[:, 0]]
     winner = np.zeros(best.shape, dtype=np.min_scalar_type(index.shape[1] - 1))
+    candidate = np.empty_like(best)
+    # mode="wrap" is plain indexing for in-range rows, without the buffered
+    # copy ``out=`` costs in the default mode.
     for position in range(1, index.shape[1]):
-        candidate = keys_T[index[:, position]]
+        np.take(keys_T, index[:, position], axis=0, out=candidate, mode="wrap")
         better = candidate < best
         np.copyto(winner, position, where=better)
         np.minimum(best, candidate, out=best)
+    if near is not None:
+        best_bits, gap = best.view(np.int64), candidate.view(np.int64)
+        within = np.empty(best.shape, dtype=bool)
+        close = np.zeros(best.shape, dtype=np.min_scalar_type(index.shape[1]))
+        for position in range(index.shape[1]):
+            np.take(keys_T, index[:, position], axis=0, out=candidate, mode="wrap")
+            np.subtract(best_bits, gap, out=gap)
+            close += np.less_equal(gap, _GUARD_ULPS, out=within)
+        near |= (close > 1).any(axis=0)
     return winner
 
 
@@ -280,15 +324,67 @@ def _and_rows(target: np.ndarray, columns: np.ndarray, won: np.ndarray) -> None:
         target[columns[run]] &= won[run]
 
 
-def _run_static(compiled: CompiledInstance, keys: np.ndarray) -> np.ndarray:
+def _run_static(
+    compiled: CompiledInstance, keys: np.ndarray, near: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Replay a static-priority algorithm over the whole instance at once.
 
     One window spanning every step, with the identity slot map; returns the
-    ``(rows, m)`` completed mask for the ``(rows, m)`` lower-wins ``keys``.
+    ``(rows, m)`` completed mask for the ``(rows, m)`` lower-wins ``keys``
+    (``near`` is :func:`_drop_losers`' near-tie guard).
     """
     completed = np.ones((keys.shape[0], compiled.num_sets), dtype=bool, order="F")
-    _drop_losers(keys, _contested_groups(compiled), completed)
+    _drop_losers(keys, _contested_groups(compiled), completed, near=near)
     return np.ascontiguousarray(completed)
+
+
+def _randpr_keys(
+    uniforms: np.ndarray, exponents: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """randPr's lower-wins order keys ``-(u ** (1/w))``, written into ``out``.
+
+    numpy's SIMD ``pow``, not the bit-exact
+    :func:`~repro.engine.rng.exact_pow`: a replay reads the keys only
+    through their order inside each contest, and the kernel's near-tie guard
+    (``near`` of :func:`_drop_losers`) flags every trial whose order the
+    few-ulp error could change, for :func:`_replay_reference`.
+    """
+    np.power(uniforms, exponents, out=out)
+    return np.negative(out, out=out)
+
+
+def _replay_reference(
+    compiled: CompiledInstance, seed: int, trials: Sequence[int], completed: np.ndarray
+) -> None:
+    """Replay randPr ``trials`` whole from their reference draws, in place.
+
+    The exact path for trials the vectorized keys cannot decide: a 0.0
+    uniform (the reference redraws it, so the trial's stream runs ahead) or
+    a near tie between approximate keys.
+    """
+    for trial in trials:
+        keys = -reference_priority_row(compiled, seed + trial)
+        completed[trial] = _run_static(compiled, keys[np.newaxis])[0]
+
+
+def _run_randpr(compiled: CompiledInstance, trials: int, seed: int) -> np.ndarray:
+    """Replay all trials of randPr; returns the ``(trials, m)`` completed mask.
+
+    The draw table comes from the bridge's ``uniform_matrix`` and becomes
+    F-ordered order keys in one buffer; it is released before the kernel
+    runs (a table over the uniform cache's cap is held by nothing else).
+    """
+    uniforms = rng_bridge.uniform_matrix(seed, trials, compiled.num_sets)
+    replay = set(zero_draw_trials(uniforms))
+    keys = np.empty(uniforms.shape, order="F")
+    _randpr_keys(uniforms, compiled.priority_exponents, keys)
+    del uniforms
+    near = np.zeros(trials, dtype=bool)
+    completed = _run_static(compiled, keys, near)
+    del keys
+    replay.update(np.flatnonzero(near).tolist())
+    _replay_reference(compiled, seed, sorted(replay), completed)
+    return completed
 
 
 def _sample_uses_pool(width: int, take: int) -> bool:
@@ -478,51 +574,62 @@ def _run_greedy(compiled: CompiledInstance, kind: str) -> np.ndarray:
     Returns the ``(1, m)`` completed mask.
 
     The reference greedy algorithms rank parents by a lexicographic tuple of
-    small discrete features; this encodes each tuple as one int64 per parent
-    (features weighted by the ranges of the levels below them), so the
-    "sort by tuple" becomes "sort by integer" and matches exactly.
+    small discrete features; this encodes each tuple as one integer per
+    parent (features weighted by the ranges of the levels below them, the
+    parent's position last), so the "sort by tuple" becomes "sort by
+    integer" and matches exactly.  A single run has no trial axis to
+    vectorize over, so the state lives in Python lists and every arrival is
+    plain scalar code.
     """
-    m = compiled.num_sets
-    alive = np.ones((1, m), dtype=bool)
-    remaining = compiled.sizes[np.newaxis, :].copy()
-    weight_class = compiled.weight_class
-    sizes = compiled.sizes
+    alive = [True] * compiled.num_sets
+    sizes = compiled.sizes.tolist()
+    remaining = list(sizes)
+    weight_class = compiled.weight_class.tolist()
     # Level ranges for the integer encoding.
-    num_classes = int(weight_class.max(initial=0)) + 1
-    size_range = int(sizes.max(initial=0)) + 1
-    indptr = compiled.step_indptr
-    parents = compiled.step_parents
-    capacities = compiled.step_capacities
-    for step in range(compiled.num_steps):
+    num_classes = max(weight_class, default=0) + 1
+    size_range = max(sizes, default=0) + 1
+    indptr = compiled.step_indptr.tolist()
+    parents = compiled.step_parents.tolist()
+    for step, capacity in enumerate(compiled.step_capacities.tolist()):
         columns = parents[indptr[step] : indptr[step + 1]]
         width = len(columns)
-        if width == 0:
-            continue
-        capacity = int(capacities[step])
         if width <= capacity:
-            remaining[:, columns] -= 1
+            for column in columns:
+                remaining[column] -= 1
             continue
-        dead = (~alive[:, columns]).astype(np.int64)
-        classes = weight_class[columns]
-        position = np.arange(width, dtype=np.int64)
         if kind == "greedy-weight":
             # (not alive, -weight, repr)
-            key = (dead * num_classes + classes) * width + position
+            keys = [
+                ((not alive[c]) * num_classes + weight_class[c]) * width + p
+                for p, c in enumerate(columns)
+            ]
         elif kind == "greedy-progress":
             # (not alive, remaining, -weight, repr)
-            rem = remaining[:, columns]
-            key = ((dead * size_range + rem) * num_classes + classes) * width + position
+            keys = [
+                (((not alive[c]) * size_range + remaining[c]) * num_classes
+                 + weight_class[c]) * width + p
+                for p, c in enumerate(columns)
+            ]
         else:  # greedy-committed
             # (not alive, never assigned, -weight, remaining, repr)
-            rem = remaining[:, columns]
-            fresh = (rem == sizes[columns]).astype(np.int64)
-            key = (
-                ((dead * 2 + fresh) * num_classes + classes) * size_range + rem
-            ) * width + position
-        assigned = _select_top(key, capacity)
-        remaining[:, columns] -= assigned
-        alive[:, columns] &= assigned
-    return alive & (remaining == 0)
+            keys = [
+                ((((not alive[c]) * 2 + (remaining[c] == sizes[c])) * num_classes
+                  + weight_class[c]) * size_range + remaining[c]) * width + p
+                for p, c in enumerate(columns)
+            ]
+        # Keys are distinct (they end in the position), so the winners are
+        # the smallest ``capacity`` of them, and key % width is the position.
+        won = [min(keys)] if capacity == 1 else sorted(keys)[:capacity]
+        assigned = [False] * width
+        for key in won:
+            assigned[key % width] = True
+        for column, kept in zip(columns, assigned):
+            if kept:
+                remaining[column] -= 1
+            else:
+                alive[column] = False
+    done = [live and left == 0 for live, left in zip(alive, remaining)]
+    return np.array([done], dtype=bool)
 
 
 def simulate_batch(
@@ -575,10 +682,13 @@ def simulate_batch(
         completed = _run_greedy(compiled, spec.kind)
     elif spec.kind in PER_STEP_RANDOM_KINDS:
         completed = _run_uniform_random(compiled, trials, seed)
+    elif spec.kind == "randPr":
+        completed = _run_randpr(compiled, trials, seed)
     else:
         priorities = priority_matrix(spec, compiled, trials, seed)
-        # Negate so that "smallest key wins" with stable index tie-breaks.
-        completed = _run_static(compiled, -priorities)
+        # Negate so that "smallest key wins" with stable index tie-breaks;
+        # in place, as the matrix is a fresh array and the table is large.
+        completed = _run_static(compiled, np.negative(priorities, out=priorities))
     return _batch_result(spec, compiled, completed, trials, seed)
 
 

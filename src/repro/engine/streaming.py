@@ -61,8 +61,9 @@ from repro.engine.batch import (
     _batch_result,
     _contested_groups,
     _drop_losers,
+    _randpr_keys,
+    _replay_reference,
     _run_greedy,
-    _run_static,
     _run_uniform_random,
 )
 from repro.engine.compile import CompiledInstance
@@ -72,7 +73,6 @@ from repro.engine.specs import (
     UNIFORM_DRAW_KINDS,
     AlgorithmSpec,
     priority_columns,
-    reference_priority_row,
     resolve_spec,
     zero_draw_trials,
 )
@@ -208,9 +208,9 @@ def compile_trace(trace: "Trace", name: str = "") -> CompiledTrace:
         dtype=np.float64,
         count=m,
     )
-    sizes = np.zeros(m, dtype=np.int64)
-    first_slot = np.full(m, -1, dtype=np.int64)
-    last_slot = np.full(m, -1, dtype=np.int64)
+    # The one Python pass: each non-empty slot's de-duplicated columns
+    # (simultaneous same-frame packets collapse), ascending — the repr order
+    # of the frame ids.  Everything else is derived from these arrays.
     step_slots: List[int] = []
     indptr: List[int] = [0]
     parents_flat: List[int] = []
@@ -219,54 +219,45 @@ def compile_trace(trace: "Trace", name: str = "") -> CompiledTrace:
         num_packets += len(packets)
         if not packets:
             continue
-        columns: List[int] = []
-        seen = set()
-        for packet in packets:
-            fid = packet.frame_id
-            if fid in seen:
-                continue  # simultaneous same-frame packets collapse
-            seen.add(fid)
-            column = set_index.get(fid)
-            if column is None:
-                raise OspError(
-                    f"slot {slot} carries a packet of unregistered frame {fid!r}"
-                )
-            columns.append(column)
-        columns.sort()  # ascending column order == repr order of frame ids
-        cols = np.asarray(columns, dtype=np.int64)
-        sizes[cols] += 1
-        last_slot[cols] = slot
+        try:
+            columns = sorted({set_index[packet.frame_id] for packet in packets})
+        except KeyError as missing:
+            raise OspError(
+                f"slot {slot} carries a packet of unregistered frame {missing.args[0]!r}"
+            ) from None
         step_slots.append(slot)
         parents_flat.extend(columns)
         indptr.append(len(parents_flat))
 
-    # first_slot = slot of the first step containing the column (backward
-    # sweep: the earliest write wins by being applied last).
-    for step in range(len(step_slots) - 1, -1, -1):
-        cols = parents_flat[indptr[step] : indptr[step + 1]]
-        first_slot[cols] = step_slots[step]
-
+    n = len(step_slots)
+    parents = np.asarray(parents_flat, dtype=np.int64)
+    steps = np.asarray(step_slots, dtype=np.int64)
+    step_indptr = np.asarray(indptr, dtype=np.int64)
+    parent_slots = np.repeat(steps, np.diff(step_indptr))
+    sizes = np.bincount(parents, minlength=m).astype(np.int64, copy=False)
+    # Unbuffered ``ufunc.at``: a plain fancy write leaves the order of
+    # repeated indices unspecified.
+    last_slot = np.full(m, -1, dtype=np.int64)
+    np.maximum.at(last_slot, parents, parent_slots)
+    unset = np.iinfo(np.int64).max
+    first_slot = np.full(m, unset, dtype=np.int64)
+    np.minimum.at(first_slot, parents, parent_slots)
     # Sequential-sweep admission bound: column j must be drawn when the
     # first packet of ANY column >= j arrives (suffix minimum; columns with
     # no packets inherit the bound of their successors and hold no row).
-    admission = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
-    suffix = np.iinfo(np.int64).max
-    for j in range(m - 1, -1, -1):
-        if first_slot[j] >= 0:
-            suffix = min(suffix, int(first_slot[j]))
-        admission[j] = suffix
+    admission = np.minimum.accumulate(first_slot[::-1])[::-1].copy()
+    first_slot[first_slot == unset] = -1
 
-    n = len(step_slots)
     return CompiledTrace.from_columns(
         name=name or "trace",
         set_ids=frame_ids,
         set_index=set_index,
         weights=weights,
         sizes=sizes,
-        step_indptr=np.asarray(indptr, dtype=np.int64),
-        step_parents=np.asarray(parents_flat, dtype=np.int64),
+        step_indptr=step_indptr,
+        step_parents=parents,
         step_capacities=np.full(n, capacity, dtype=np.int64),
-        step_slots=np.asarray(step_slots, dtype=np.int64),
+        step_slots=steps,
         first_slot=first_slot,
         last_slot=last_slot,
         admission_slot=admission,
@@ -277,17 +268,18 @@ def compile_trace(trace: "Trace", name: str = "") -> CompiledTrace:
 
 
 class _StaticKeySource:
-    """Sequential column-chunk supplier of negated static-priority rows.
+    """Sequential column-chunk supplier of lower-wins static-priority keys.
 
-    ``draw(start, count)`` returns the ``(rows, count)`` *negated* priority
-    block of columns ``start .. start+count-1`` ("lower key wins", the
-    batch engine's ``_run_static(-priorities)`` convention), computed by the
-    same :func:`~repro.engine.specs.priority_columns` as the one-shot
-    ``priority_matrix``.  Randomized kinds consume the per-trial
-    ``random()`` streams strictly in column order, which is what makes the
-    chunked draws bit-equal to that table; ``zero_trials`` collects the
-    trials whose uniforms hit exactly 0.0 (randPr redraws those — they are
-    replayed from the reference draws at the end).
+    ``draw(start, count)`` returns the ``(rows, count)`` key block of columns
+    ``start .. start+count-1`` — the batch engine's keys, column for column:
+    randPr's approximate order keys (:func:`~repro.engine.batch._randpr_keys`)
+    and every other kind's negated
+    :func:`~repro.engine.specs.priority_columns`.  Randomized kinds consume
+    the per-trial ``random()`` streams strictly in column order, which is
+    what makes the chunked draws bit-equal to the whole-instance table;
+    ``replay_trials`` collects the randPr trials whose uniforms hit exactly
+    0.0 (the reference redraws those), for the replay from the reference
+    draws at the end.
     """
 
     def __init__(
@@ -296,7 +288,7 @@ class _StaticKeySource:
         self._spec = spec
         self._compiled = compiled
         self._uniforms = self._salts = None
-        self.zero_trials: set = set()
+        self.replay_trials: set = set()
         if spec.kind in UNIFORM_DRAW_KINDS:
             self._uniforms = rng_bridge.UniformStreams(seed, rows)
         elif spec.kind == "randPr-hashed" and spec.salt is None:
@@ -307,7 +299,9 @@ class _StaticKeySource:
         if self._uniforms is not None:
             uniforms = self._uniforms.next(count)
             if self._spec.kind == "randPr":
-                self.zero_trials.update(zero_draw_trials(uniforms))
+                self.replay_trials.update(zero_draw_trials(uniforms))
+                exponents = self._compiled.priority_exponents[start : start + count]
+                return _randpr_keys(uniforms, exponents, out=uniforms)
         return -priority_columns(
             self._spec, self._compiled, start, start + count, uniforms, self._salts
         )
@@ -373,13 +367,15 @@ def _stream_static(
     straight into the ``(rows, m)`` completed mask — no per-frame alive
     state exists.  The only per-frame state is the pooled priority row,
     admitted by the sequential column sweep and retired after the frame's
-    last slot.
+    last slot.  randPr trials with a zero draw or a near tie between its
+    approximate keys are replayed from the reference draws at the end.
     """
     m = compiled.num_sets
     rows = 1 if spec.is_deterministic else trials
     completed = np.ones((rows, m), dtype=bool, order="F")
     source = _StaticKeySource(spec, compiled, rows, seed)
     pool = _RowPool(rows, m)
+    near = np.zeros(rows, dtype=bool) if spec.kind == "randPr" else None
 
     indptr = compiled.step_indptr
     parents = compiled.step_parents
@@ -409,18 +405,16 @@ def _stream_static(
                 pool.admit(fresh[holds_row], block.T[holds_row])  # never pool
                 next_col = max_needed + 1
             groups = _contested_groups(compiled, int(s0), int(s1))
-            _drop_losers(pool.keys_T.T, groups, completed, pool.slot_of)
+            _drop_losers(pool.keys_T.T, groups, completed, pool.slot_of, near)
         while retire_ptr < len(retire_order) and (
             last_slot[retire_order[retire_ptr]] < window_end
         ):
             pool.retire(int(retire_order[retire_ptr]))
             retire_ptr += 1
 
-    # randPr redraws an exactly-zero uniform, so those trials' streams
-    # diverged from the chunked draws; replay them from the reference draws.
-    for trial in sorted(source.zero_trials):
-        keys = -reference_priority_row(compiled, seed + trial)
-        completed[trial] = _run_static(compiled, keys[np.newaxis])[0]
+    if near is not None:
+        source.replay_trials.update(np.flatnonzero(near).tolist())
+        _replay_reference(compiled, seed, sorted(source.replay_trials), completed)
 
     if stats is not None:
         stats["windows"] = windows

@@ -66,9 +66,10 @@ def random_set_system(
     c_low, c_high = capacity_range
     if c_low < 1 or c_high < c_low:
         raise OspError(f"invalid capacity range {capacity_range}")
+    # Sorted, so the capacity draws do not follow the set's hash order.
     capacities = {
         element: (c_low if c_low == c_high else rng.randint(c_low, c_high))
-        for element in used_elements
+        for element in sorted(used_elements)
     }
     return SetSystem(sets, weights=weights, capacities=capacities)
 

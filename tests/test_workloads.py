@@ -1,6 +1,9 @@
 """Tests for the workload generators."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -75,6 +78,36 @@ class TestRandomInstances:
             random_set_system(5, 10, (1, 2), rng, capacity_range=(0, 1))
         with pytest.raises(OspError):
             random_variable_capacity_instance(5, 10, (1, 2), (0, 2), rng)
+
+    def test_variable_capacities_do_not_depend_on_the_hash_seed(self):
+        """Capacities are drawn in sorted element order, not in the hash
+        order of a set of names, so two interpreters with different
+        ``PYTHONHASHSEED`` values build the same instance."""
+        script = (
+            "import random\n"
+            "from repro.experiments.opt_cache import system_fingerprint\n"
+            "from repro.workloads import random_online_instance\n"
+            "instance = random_online_instance(12, 20, (2, 4), random.Random(2),\n"
+            "                                  capacity_range=(1, 3))\n"
+            "print(system_fingerprint(instance.system))\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        fingerprints = set()
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")])
+            )
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            fingerprints.add(result.stdout.strip())
+        assert len(fingerprints) == 1
 
 
 class TestUniformWorkloads:
