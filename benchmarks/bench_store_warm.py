@@ -34,66 +34,36 @@ CI runners are noisy).
 """
 
 import argparse
+import dataclasses
 import os
 import tempfile
 import time
 
-from repro.algorithms import (
-    FirstListedAlgorithm,
-    GreedyWeightAlgorithm,
-    RandPrAlgorithm,
-    UniformRandomAlgorithm,
-    UnweightedPriorityAlgorithm,
-)
 from repro.engine import clear_compile_cache
 from repro.experiments import (
+    FABRIC_SPECS,
     default_opt_cache,
     format_table,
     run_sweep,
     store_for_path,
     workers_from_env,
 )
-from repro.workloads import random_online_instance
 
-#: The standard sweep (same shape as E16): 200-set instances at three
-#: contention levels.
-NUM_SETS = 200
-ELEMENT_COUNTS = (500, 400, 300)
-SET_SIZE_RANGE = (2, 5)
-WEIGHT_RANGE = (1.0, 6.0)
-INSTANCES_PER_POINT = 2
-TRIALS_PER_INSTANCE = 300
-SEED = 2025
+#: The standard sweep (same as E16): 200-set instances at three contention
+#: levels.
+SPEC = FABRIC_SPECS["standard"]
+
+#: The CI smoke's shape of the same sweep: 40-set instances, 20 trials.
+SMOKE_SPEC = dataclasses.replace(
+    SPEC, num_sets=40, element_counts=(100, 60), trials_per_instance=20
+)
 
 #: The acceptance floor: warm invocation at least this much faster than cold.
 MIN_WARM_SPEEDUP = 3.0
 
 WORKER_COUNTS = (1, 4)
 
-ALGORITHMS = (
-    RandPrAlgorithm(),
-    UnweightedPriorityAlgorithm(),
-    UniformRandomAlgorithm(),
-    GreedyWeightAlgorithm(),
-    FirstListedAlgorithm(),
-)
-
-
-def _points(num_sets, element_counts):
-    points = []
-    for num_elements in element_counts:
-        def factory(rng, num_elements=num_elements):
-            return random_online_instance(
-                num_sets,
-                num_elements,
-                SET_SIZE_RANGE,
-                rng,
-                weight_range=WEIGHT_RANGE,
-                name=f"{num_sets}x{num_elements}",
-            )
-
-        points.append((f"n={num_elements}", factory))
-    return points
+ALGORITHMS = tuple(SPEC.algorithm_instances())
 
 
 def _fresh_process_caches():
@@ -104,16 +74,16 @@ def _fresh_process_caches():
     clear_compile_cache()
 
 
-def _run_configuration(points, workers, store, instances_per_point, trials):
+def _run_configuration(spec, workers, store):
     _fresh_process_caches()
     start = time.perf_counter()
     sweep = run_sweep(
         "E17 sweep",
-        points,
+        spec.points(),
         list(ALGORITHMS),
-        instances_per_point=instances_per_point,
-        trials_per_instance=trials,
-        seed=SEED,
+        instances_per_point=spec.instances_per_point,
+        trials_per_instance=spec.trials_per_instance,
+        seed=spec.seed,
         engine="auto",
         workers=workers,
         store=store,
@@ -121,39 +91,27 @@ def _run_configuration(points, workers, store, instances_per_point, trials):
     return sweep, time.perf_counter() - start
 
 
-def run_comparison(
-    num_sets, element_counts, instances_per_point, trials, store_path,
-    worker_counts=WORKER_COUNTS,
-):
+def run_comparison(spec, store_path, worker_counts=WORKER_COUNTS):
     """Time off/cold/warm at each worker count; assert all rows identical.
 
     The store-off configurations pass ``store=False`` (not ``None``) so the
     baseline stays genuinely store-free even when the suite runs under an
     exported ``OSP_STORE``.
     """
-    points = _points(num_sets, element_counts)
-    baseline, _ = _run_configuration(
-        points, 1, False, instances_per_point, trials
-    )
+    baseline, _ = _run_configuration(spec, 1, False)
 
     rows = []
     speedups = {}
     for workers in worker_counts:
-        off, off_seconds = _run_configuration(
-            points, workers, False, instances_per_point, trials
-        )
+        off, off_seconds = _run_configuration(spec, workers, False)
         assert off.rows == baseline.rows, f"workers={workers} changed rows"
 
         path = f"{store_path}.w{workers}"
-        cold, cold_seconds = _run_configuration(
-            points, workers, path, instances_per_point, trials
-        )
+        cold, cold_seconds = _run_configuration(spec, workers, path)
         assert cold.rows == baseline.rows, (
             f"cold store changed rows at workers={workers}"
         )
-        warm, warm_seconds = _run_configuration(
-            points, workers, path, instances_per_point, trials
-        )
+        warm, warm_seconds = _run_configuration(spec, workers, path)
         assert warm.rows == baseline.rows, (
             f"warm store changed rows at workers={workers}"
         )
@@ -183,22 +141,16 @@ def run_comparison(
 
 def test_e17_store_warm_speedup(run_once, experiment_report, tmp_path):
     def experiment():
-        return run_comparison(
-            NUM_SETS,
-            ELEMENT_COUNTS,
-            INSTANCES_PER_POINT,
-            TRIALS_PER_INSTANCE,
-            str(tmp_path / "store.sqlite"),
-        )
+        return run_comparison(SPEC, str(tmp_path / "store.sqlite"))
 
     rows, speedups = run_once(experiment)
     text = format_table(
         rows,
         title=(
             f"E17: persistent store warm-start "
-            f"({NUM_SETS} sets x {ELEMENT_COUNTS} elements, "
-            f"{INSTANCES_PER_POINT} instances/point, "
-            f"{TRIALS_PER_INSTANCE} trials/instance, "
+            f"({SPEC.num_sets} sets x {SPEC.element_counts} elements, "
+            f"{SPEC.instances_per_point} instances/point, "
+            f"{SPEC.trials_per_instance} trials/instance, "
             f"{len(ALGORITHMS)} algorithms; all rows bit-identical across "
             f"store off/cold/warm x workers {WORKER_COUNTS})"
         ),
@@ -221,18 +173,18 @@ def test_e17_store_warm_speedup(run_once, experiment_report, tmp_path):
 
 def _smoke():
     """CI smoke: small sweep; bit-identity matrix + warm runs hit the store."""
-    points = _points(40, (100, 60))
     with tempfile.TemporaryDirectory() as directory:
-        baseline, _ = _run_configuration(points, 1, False, 2, 20)
+        baseline, _ = _run_configuration(SMOKE_SPEC, 1, False)
         print(f"store off: {len(baseline.rows)} rows (baseline)")
         for workers in (1, 2, 4):
             path = os.path.join(directory, f"store.w{workers}.sqlite")
-            cold, cold_seconds = _run_configuration(points, workers, path, 2, 20)
+            cold, cold_seconds = _run_configuration(SMOKE_SPEC, workers, path)
             assert cold.rows == baseline.rows, f"cold rows diverged (workers={workers})"
-            warm, warm_seconds = _run_configuration(points, workers, path, 2, 20)
+            warm, warm_seconds = _run_configuration(SMOKE_SPEC, workers, path)
             assert warm.rows == baseline.rows, f"warm rows diverged (workers={workers})"
             stats = store_for_path(path).stats()
-            assert stats["unit_entries"] == len(points) * 2, "units not persisted"
+            units = len(SMOKE_SPEC.element_counts) * SMOKE_SPEC.instances_per_point
+            assert stats["unit_entries"] == units, "units not persisted"
             print(
                 f"workers={workers}: cold {cold_seconds:.2f}s, "
                 f"warm {warm_seconds:.2f}s, rows bit-identical, "
@@ -270,12 +222,7 @@ def main(argv=None):
     counts = (1, workers) if workers != 1 else (1,)
     with tempfile.TemporaryDirectory() as directory:
         rows, speedups = run_comparison(
-            NUM_SETS,
-            ELEMENT_COUNTS,
-            INSTANCES_PER_POINT,
-            TRIALS_PER_INSTANCE,
-            os.path.join(directory, "store.sqlite"),
-            worker_counts=counts,
+            SPEC, os.path.join(directory, "store.sqlite"), worker_counts=counts
         )
     print(format_table(rows, title="E17: persistent store warm-start"))
     print(

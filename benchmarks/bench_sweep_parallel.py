@@ -34,27 +34,25 @@ which shrinks the sweep, checks the bit-identity contract at workers
 """
 
 import argparse
+import dataclasses
 import time
 
-from repro.algorithms import (
-    FirstListedAlgorithm,
-    GreedyWeightAlgorithm,
-    RandPrAlgorithm,
-    UniformRandomAlgorithm,
-    UnweightedPriorityAlgorithm,
-)
 from repro.engine import clear_compile_cache
-from repro.experiments import default_opt_cache, format_table, run_sweep, workers_from_env
-from repro.workloads import random_online_instance
+from repro.experiments import (
+    FABRIC_SPECS,
+    default_opt_cache,
+    format_table,
+    run_sweep,
+    workers_from_env,
+)
 
 #: The standard sweep: 200-set instances at three contention levels.
-NUM_SETS = 200
-ELEMENT_COUNTS = (500, 400, 300)
-SET_SIZE_RANGE = (2, 5)
-WEIGHT_RANGE = (1.0, 6.0)
-INSTANCES_PER_POINT = 2
-TRIALS_PER_INSTANCE = 300
-SEED = 2025
+SPEC = FABRIC_SPECS["standard"]
+
+#: The CI smoke's shape of the same sweep: 40-set instances, 20 trials.
+SMOKE_SPEC = dataclasses.replace(
+    SPEC, num_sets=40, element_counts=(100, 60), trials_per_instance=20
+)
 
 #: The acceptance floor for the headline configuration.
 MIN_SPEEDUP = 2.5
@@ -63,33 +61,10 @@ MIN_SPEEDUP = 2.5
 #: benchmark table via OSP_BENCH_WORKERS; the floor is always checked at 4).
 PARALLEL_WORKERS = 4
 
-ALGORITHMS = (
-    RandPrAlgorithm(),
-    UnweightedPriorityAlgorithm(),
-    UniformRandomAlgorithm(),
-    GreedyWeightAlgorithm(),
-    FirstListedAlgorithm(),
-)
+ALGORITHMS = tuple(SPEC.algorithm_instances())
 
 
-def _points(num_sets, element_counts):
-    points = []
-    for num_elements in element_counts:
-        def factory(rng, num_elements=num_elements):
-            return random_online_instance(
-                num_sets,
-                num_elements,
-                SET_SIZE_RANGE,
-                rng,
-                weight_range=WEIGHT_RANGE,
-                name=f"{num_sets}x{num_elements}",
-            )
-
-        points.append((f"n={num_elements}", factory))
-    return points
-
-
-def _run_configuration(points, workers, engine, instances_per_point, trials):
+def _run_configuration(spec, workers, engine, policy=None):
     # Start every configuration cold: the per-process OPT and compile caches
     # are part of what is being measured, and without this reset the second
     # and third configurations would inherit the first one's solves (fork
@@ -99,32 +74,26 @@ def _run_configuration(points, workers, engine, instances_per_point, trials):
     start = time.perf_counter()
     sweep = run_sweep(
         "E16 sweep",
-        points,
+        spec.points(),
         list(ALGORITHMS),
-        instances_per_point=instances_per_point,
-        trials_per_instance=trials,
-        seed=SEED,
+        instances_per_point=spec.instances_per_point,
+        trials_per_instance=spec.trials_per_instance,
+        seed=spec.seed,
         engine=engine,
         workers=workers,
         # Engine/worker timings must stay store-free even under an exported
         # OSP_STORE; the persistent store has its own benchmark (E17).
         store=False,
+        policy=policy,
     )
     return sweep, time.perf_counter() - start
 
 
-def run_comparison(num_sets, element_counts, instances_per_point, trials, workers):
+def run_comparison(spec, workers):
     """Time the three configurations and assert their rows are bit-identical."""
-    points = _points(num_sets, element_counts)
-    reference, reference_seconds = _run_configuration(
-        points, 1, "reference", instances_per_point, trials
-    )
-    serial, serial_seconds = _run_configuration(
-        points, 1, "auto", instances_per_point, trials
-    )
-    parallel, parallel_seconds = _run_configuration(
-        points, workers, "auto", instances_per_point, trials
-    )
+    reference, reference_seconds = _run_configuration(spec, 1, "reference")
+    serial, serial_seconds = _run_configuration(spec, 1, "auto")
+    parallel, parallel_seconds = _run_configuration(spec, workers, "auto")
 
     # The speedup is only meaningful between equal computations.
     assert serial.rows == reference.rows, "engine choice changed sweep rows"
@@ -152,22 +121,16 @@ def run_comparison(num_sets, element_counts, instances_per_point, trials, worker
 
 def test_e16_sweep_parallel_speedup(run_once, experiment_report):
     def experiment():
-        return run_comparison(
-            NUM_SETS,
-            ELEMENT_COUNTS,
-            INSTANCES_PER_POINT,
-            TRIALS_PER_INSTANCE,
-            PARALLEL_WORKERS,
-        )
+        return run_comparison(SPEC, PARALLEL_WORKERS)
 
     rows, speedup = run_once(experiment)
     text = format_table(
         rows,
         title=(
             f"E16: end-to-end sweep orchestration "
-            f"({NUM_SETS} sets x {ELEMENT_COUNTS} elements, "
-            f"{INSTANCES_PER_POINT} instances/point, "
-            f"{TRIALS_PER_INSTANCE} trials/instance, "
+            f"({SPEC.num_sets} sets x {SPEC.element_counts} elements, "
+            f"{SPEC.instances_per_point} instances/point, "
+            f"{SPEC.trials_per_instance} trials/instance, "
             f"{len(ALGORITHMS)} algorithms, bit-identical rows)"
         ),
     )
@@ -188,7 +151,7 @@ RESILIENT_OVERHEAD_FACTOR = 1.05
 RESILIENT_OVERHEAD_GRACE_SECONDS = 0.25
 
 
-def _resilient_overhead_probe(points, workers=2, repeats=3):
+def _resilient_overhead_probe(spec, workers=2, repeats=3):
     """Best-of-N timing: ``RetryPolicy()`` vs. fail-fast on the one pool loop.
 
     Supervision must be a free upgrade when nothing fails — same rows, and
@@ -204,26 +167,14 @@ def _resilient_overhead_probe(points, workers=2, repeats=3):
     plain_best = resilient_best = float("inf")
     plain_rows = resilient_rows = None
     for _ in range(repeats):
-        plain, plain_seconds = _run_configuration(points, workers, "auto", 2, 20)
+        plain, plain_seconds = _run_configuration(spec, workers, "auto")
         plain_best = min(plain_best, plain_seconds)
         plain_rows = plain.rows
     for _ in range(repeats):
-        default_opt_cache().clear()
-        clear_compile_cache()
-        start = time.perf_counter()
-        resilient = run_sweep(
-            "E16 sweep",
-            _points(40, (100, 60)),
-            list(ALGORITHMS),
-            instances_per_point=2,
-            trials_per_instance=20,
-            seed=SEED,
-            engine="auto",
-            workers=workers,
-            store=False,
-            policy=policy,
+        resilient, resilient_seconds = _run_configuration(
+            spec, workers, "auto", policy=policy
         )
-        resilient_best = min(resilient_best, time.perf_counter() - start)
+        resilient_best = min(resilient_best, resilient_seconds)
         resilient_rows = resilient.rows
     assert resilient_rows == plain_rows, "supervision changed sweep rows"
     budget = plain_best * RESILIENT_OVERHEAD_FACTOR + RESILIENT_OVERHEAD_GRACE_SECONDS
@@ -241,16 +192,15 @@ def _resilient_overhead_probe(points, workers=2, repeats=3):
 
 def _smoke(workers_list=(1, 2, 4)):
     """CI smoke: a small sweep, bit-identity asserted across worker counts."""
-    points = _points(40, (100, 60))
-    baseline, baseline_seconds = _run_configuration(points, 1, "reference", 2, 20)
+    baseline, baseline_seconds = _run_configuration(SMOKE_SPEC, 1, "reference")
     print(f"serial reference: {baseline_seconds:.2f}s, {len(baseline.rows)} rows")
     for workers in workers_list:
-        sweep, seconds = _run_configuration(points, workers, "auto", 2, 20)
+        sweep, seconds = _run_configuration(SMOKE_SPEC, workers, "auto")
         assert sweep.rows == baseline.rows, (
             f"rows diverged at workers={workers} (engine=auto)"
         )
         print(f"workers={workers} engine=auto: {seconds:.2f}s, rows bit-identical")
-    _resilient_overhead_probe(points)
+    _resilient_overhead_probe(SMOKE_SPEC)
     print(
         "smoke OK: parallel sweep is bit-identical to the serial reference, "
         "supervised pool within its fault-free overhead budget"
@@ -282,9 +232,7 @@ def main(argv=None):
         return _smoke()
 
     workers = workers_from_env(default=PARALLEL_WORKERS)
-    rows, speedup = run_comparison(
-        NUM_SETS, ELEMENT_COUNTS, INSTANCES_PER_POINT, TRIALS_PER_INSTANCE, workers
-    )
+    rows, speedup = run_comparison(SPEC, workers)
     print(
         format_table(
             rows, title=f"E16: end-to-end sweep orchestration (workers={workers})"

@@ -47,7 +47,6 @@ from repro.engine.compile import (
 )
 from repro.engine.fast import fast_uniforms, simulate_fast, trial_generator
 from repro.engine.rng import (
-    UniformStreams,
     WordStreams,
     clear_uniform_cache,
     exact_pow,
@@ -55,7 +54,6 @@ from repro.engine.rng import (
     transplant_rng,
     uniform_cache_stats,
     uniform_matrix,
-    word_matrix,
 )
 from repro.engine.specs import (
     FAST_PRIORITY_KINDS,
@@ -104,9 +102,7 @@ __all__ = [
     "transplant_rng",
     "state_matrix",
     "uniform_matrix",
-    "word_matrix",
     "WordStreams",
-    "UniformStreams",
     "exact_pow",
     "clear_uniform_cache",
     "uniform_cache_stats",

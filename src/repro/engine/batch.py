@@ -406,11 +406,6 @@ def _sample_uses_pool(width: int, take: int) -> bool:
 #: probability <= 2**-64; bailed trials are replayed by the scalar loop.
 _MAX_REPLAY_ROUNDS = 64
 
-#: Trials are replayed in blocks of this many rows so the per-block word
-#: streams stay a few megabytes regardless of the total trial count
-#: (mirroring the draw-table blocking in :mod:`repro.engine.rng`).
-_UNIFORM_TRIAL_BLOCK = 4096
-
 #: Losers are dropped once per chunk of steps whose parent counts reach this
 #: many, so a chunk's ``(parents, block)`` outcome matrix stays small.
 _LOSER_DROP_CHUNK = 256
@@ -562,8 +557,11 @@ def _run_uniform_random(
     """
     steps = _uniform_random_steps(compiled)
     completed = np.ones((trials, compiled.num_sets), dtype=bool)
-    for start in range(0, trials, _UNIFORM_TRIAL_BLOCK):
-        block = completed[start : start + _UNIFORM_TRIAL_BLOCK]
+    # The bridge's trial block: it bounds the per-block word streams, and
+    # randbelow sizes its look-ahead for a block of this many trials.
+    block_trials = rng_bridge._TRIAL_BLOCK
+    for start in range(0, trials, block_trials):
+        block = completed[start : start + block_trials]
         _replay_uniform_block(steps, seed + start, block)
     return completed
 

@@ -18,23 +18,20 @@ CPython's Mersenne Twister in numpy:
 * Per-trial transplanting is exact but slow (``getstate`` materializes 625
   Python ints per trial), so the batch path goes further:
   :func:`state_matrix` re-implements CPython's ``init_by_array`` seeding
-  *vectorized across the trials axis* — one numpy op per scalar mixing step,
-  operating on all trials at once — and :func:`uniform_matrix` then runs the
-  MT19937 twist + tempering + 53-bit pairing on the whole ``(trials, 624)``
-  state matrix.  The result is the exact ``(trials, draws)`` table of
-  ``random.Random(seed + b).random()`` values with no per-trial Python work.
+  *vectorized across the trials axis*, and :class:`WordStreams` — the one
+  stream type — runs the MT19937 twist + tempering on the whole
+  ``(624, trials)`` state matrix.  Every consumer reads its words:
+  :func:`uniform_matrix` (the cached ``(trials, draws)`` table of
+  ``random.Random(seed + b).random()`` values), :meth:`WordStreams.random`
+  (the same values in chunks, for the streaming engine),
+  :func:`getrandbits64` (the hashed variant's salts), and the batched
+  ``getrandbits``/``_randbelow`` replays of uniform-random's per-arrival
+  ``sample`` calls, where every trial owns an independent read position.
 * :func:`exact_pow` applies the inverse-CDF transform ``u ** (1/w)`` with the
   same C-library ``pow`` the reference algorithms call.  numpy's vectorized
   ``**`` uses a SIMD polynomial that is *not* bit-identical to libm ``pow``
   (off by one ulp on a few percent of inputs on this stack), so the transform
-  deliberately stays on scalar ``math.pow`` per element — exactness beats
-  vectorization here, and the draws dominate the old cost anyway.
-* Algorithms that consume the RNG *during* the arrival loop (uniform-random's
-  per-arrival ``sample`` calls) cannot use a precomputed draw table, but their
-  draws still bottom out in raw 32-bit words.  :func:`word_matrix` is the
-  ``(trials, words)`` table of them, and :class:`WordStreams` replays
-  ``getrandbits`` and ``_randbelow`` over it, batched: every trial owns an
-  independent read position, so ragged retry loops stay exact per trial.
+  stays on scalar ``math.pow`` per element wherever the exact values matter.
 
 ``docs/INTERNALS-rng.md`` documents the trick, why ``getstate`` →
 ``set_state`` is exact, and the draw-order contract a new vectorizable
@@ -62,9 +59,7 @@ __all__ = [
     "transplant_rng",
     "state_matrix",
     "uniform_matrix",
-    "word_matrix",
     "WordStreams",
-    "UniformStreams",
     "getrandbits64",
     "exact_pow",
     "clear_uniform_cache",
@@ -82,9 +77,9 @@ _MIX2 = np.uint32(1566083941)
 _TEMPER_B = np.uint32(0x9D2C5680)
 _TEMPER_C = np.uint32(0xEFC60000)
 
-#: Trials are processed in blocks of this many rows so the transient
-#: ``(MT_N, block)`` state matrices stay a few megabytes regardless of the
-#: total trial count.
+#: Trials are processed in blocks of this many rows (by :func:`uniform_matrix`
+#: and the uniform-random replay, whose :meth:`WordStreams.randbelow` sizes its
+#: look-ahead for such a block) so the transient state stays a few megabytes.
 _TRIAL_BLOCK = 4096
 
 #: ``i`` as a wrapping ``uint32`` scalar, precomputed for the seeding loops.
@@ -278,64 +273,17 @@ def _temper(words: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarr
     return out
 
 
-def _word_matrix_T(seeds: Sequence[int], num_words: int) -> np.ndarray:
-    """``(num_words, batch)`` tempered outputs of each seed's generator.
-
-    Column ``t`` holds the first ``num_words`` values ``genrand_uint32`` would
-    return for ``random.Random(seeds[t])`` — the raw 32-bit stream underneath
-    ``random()``, ``getrandbits`` and friends.  Tempering is applied only to
-    the words actually requested; the untempered remainder of each twist
-    block never leaves this function.
-    """
-    if num_words <= 0 or not seeds:
-        return np.empty((max(num_words, 0), len(seeds)), dtype=np.uint32)
-    mt = _state_matrix_T(seeds)
-    scratch_a = np.empty((MT_N, len(seeds)), dtype=np.uint32)
-    scratch_b = np.empty((MT_N - 1, len(seeds)), dtype=np.uint32)
-    out = np.empty((num_words, len(seeds)), dtype=np.uint32)
-    produced = 0
-    while produced < num_words:
-        _twist(mt, scratch_a[: MT_N - 1], scratch_b)
-        take = min(MT_N, num_words - produced)
-        _temper(mt[:take], out[produced : produced + take], scratch_a)
-        produced += take
-    return out
-
-
-def word_matrix(seed: int, trials: int, words: int) -> np.ndarray:
-    """The exact ``(trials, words)`` table of raw 32-bit generator outputs.
-
-    Entry ``[b, k]`` is the ``k``-th tempered MT19937 word of
-    ``random.Random(seed + b)`` — the value ``getrandbits(32)`` would return
-    on its ``k``-th call, and the raw stream underneath ``random()``,
-    ``getrandbits`` and ``sample``.  This is the static (fixed word count)
-    form of the per-trial word stream; :class:`WordStreams` is the dynamic
-    one, for consumers whose per-trial word counts are data-dependent.
-
-    >>> import random
-    >>> table = word_matrix(99, trials=2, words=4)
-    >>> reference = random.Random(99 + 1)          # trial b=1
-    >>> [reference.getrandbits(32) for _ in range(4)] == list(table[1])
-    True
-    """
-    if trials < 0 or words < 0:
-        raise ValueError(f"trials and words must be non-negative, got {trials}, {words}")
-    produced = _word_matrix_T([seed + b for b in range(trials)], words)
-    return np.ascontiguousarray(produced.T)
-
-
 class WordStreams:
     """Per-trial raw MT19937 word streams with independently advancing positions.
 
     Stream ``b`` replays the tempered 32-bit outputs of
-    ``random.Random(seed + b)`` (the batch engine's trial seeding), produced
-    by the same vectorized seeding/twist/temper pipeline as
-    :func:`uniform_matrix` and grown past twist boundaries on demand.  On top
-    of the raw words sit two batched replays of CPython draws for the trials a
-    ``mask`` selects: :meth:`getrandbits` (one word each) and
-    :meth:`randbelow` (the ``_randbelow`` rejection loop, as many words as
-    each trial's reference stream consumes), so per-trial positions stay in
-    lockstep with the references even when consumption is ragged.
+    ``random.Random(seed + b)`` (the batch engine's trial seeding) from one
+    lockstep generator, the bridge's only twist/temper loop.  :meth:`random`
+    reads it in lockstep chunks; :meth:`getrandbits` and :meth:`randbelow`
+    replay CPython draws for the trials a ``mask`` selects (one word each,
+    and as many words as each trial's ``_randbelow`` rejection loop takes)
+    over a sliding window, so positions stay exact when consumption is
+    ragged.
 
     >>> import random
     >>> streams = WordStreams(seed=3, trials=2)
@@ -353,11 +301,12 @@ class WordStreams:
             raise ValueError(f"trials must be non-negative, got {trials}")
         self.trials = trials
         self._mt = _state_matrix_T([seed + b for b in range(trials)])
+        # Rows of the current twist block already handed out; a freshly
+        # seeded generator (CPython's position 624) twists on its first word.
+        self._block_used = MT_N
         # The word window: rows [_base, _base + len) of the per-trial streams.
-        # Rows every trial has consumed are discarded as the window slides
-        # (see _ensure), so memory tracks the *spread* between the slowest
-        # and fastest trial — not the total stream length — and long arrival
-        # sequences never accumulate the whole history.
+        # It slides (see _ensure), so memory tracks the *spread* between the
+        # slowest and fastest trial, not the total stream length.
         self._base = 0
         self._words = np.empty((0, trials), dtype=np.uint32)
         # Trial b's next word, as a flat index into the window: (p - _base)
@@ -374,28 +323,72 @@ class WordStreams:
 
     @property
     def words_produced(self) -> int:
-        """How many words per trial have been generated (grows in twist blocks)."""
+        """How many words per trial have been generated."""
         return self._base + self._words.shape[0]
+
+    def _generate(self, out: np.ndarray) -> np.ndarray:
+        """Fill the ``(count, trials)`` array ``out`` with the next words.
+
+        A block is twisted only once the previous one is used up, and only
+        the rows handed out are tempered; the untempered rest of the block
+        stays in the generator state.
+        """
+        filled = 0
+        while filled < len(out):
+            if self._block_used == MT_N:
+                _twist(self._mt, self._scratch_a[: MT_N - 1], self._scratch_b)
+                self._block_used = 0
+            used = self._block_used
+            take = min(MT_N - used, len(out) - filled)
+            _temper(self._mt[used : used + take], out[filled : filled + take], self._scratch_a)
+            self._block_used, filled = used + take, filled + take
+        return out
 
     def _ensure(self, depth: int) -> None:
         """Make the window hold the next ``depth`` words of every trial."""
         rows = int(self._cursor.max()) // self.trials + depth
-        if rows <= self._words.shape[0]:
+        have = self._words.shape[0]
+        if rows <= have:
             return
         # Slide the window: rows below every trial's position can never be
         # read again.  Discarding in at-least-block-sized steps keeps the
         # copy amortized against the twist work that produced the rows.
         drop = int(self._cursor.min()) // self.trials
-        if drop >= MT_N:
-            self._words = self._words[drop:].copy()
-            self._base += drop
-            self._cursor -= drop * self.trials
-            rows -= drop
-        while self._words.shape[0] < rows:
-            _twist(self._mt, self._scratch_a[: MT_N - 1], self._scratch_b)
-            block = np.empty((MT_N, self.trials), dtype=np.uint32)
-            _temper(self._mt, block, self._scratch_a)
-            self._words = np.concatenate([self._words, block], axis=0)
+        drop = drop if drop >= MT_N else 0
+        keep = have - drop
+        grow = -(-(rows - have) // MT_N) * MT_N  # whole blocks
+        window = np.empty((keep + grow, self.trials), dtype=np.uint32)
+        window[:keep] = self._words[drop:]
+        self._words = window
+        self._generate(window[keep:])
+        self._base += drop
+        self._cursor -= drop * self.trials
+
+    def random(self, count: int) -> np.ndarray:
+        """The next ``count`` ``random()`` values of every trial, in lockstep.
+
+        Returns a writable ``(trials, count)`` float64 array; chunks
+        concatenate to :func:`uniform_matrix`, and :attr:`positions` advance
+        by two words per value.  Only lockstep reads are possible: after a
+        :meth:`getrandbits` or :meth:`randbelow` call this raises
+        ``ValueError``.
+
+        >>> import random
+        >>> streams = WordStreams(seed=11, trials=2)
+        >>> chunk = np.concatenate([streams.random(3), streams.random(2)], axis=1)
+        >>> reference = random.Random(11 + 1)          # trial b=1
+        >>> [reference.random() for _ in range(5)] == list(chunk[1])
+        True
+        >>> streams.positions.tolist()
+        [10, 10]
+        """
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        if self._words.shape[0]:
+            raise ValueError("random() needs lockstep streams; a ragged read happened")
+        words = self._generate(np.empty((2 * count, self.trials), dtype=np.uint32))
+        self._base += 2 * count
+        return _res53(words, np.empty((count, self.trials))).T
 
     def getrandbits(self, bits: int, mask: "np.ndarray | None" = None) -> np.ndarray:
         """The next ``getrandbits(bits)`` value of each selected trial.
@@ -487,73 +480,6 @@ def _res53(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(out, 1.0 / 9007199254740992.0, out=out)
 
 
-class UniformStreams:
-    """Sequential per-trial ``random()`` streams, delivered in bounded chunks.
-
-    Stream ``b`` replays the ``random()`` values of ``random.Random(seed + b)``
-    (the batch engine's trial seeding) through the same vectorized
-    seeding/twist/temper pipeline as :func:`uniform_matrix` — but instead of
-    materializing the whole ``(trials, draws)`` table up front, :meth:`next`
-    hands out consecutive ``(trials, count)`` chunks on demand.  All trials
-    advance in lockstep, so the resident state is one ``(MT_N, trials)``
-    generator matrix plus at most one partially consumed twist block — memory
-    is bounded by the *chunk* size, never by how many draws the consumer
-    eventually takes.  This is what lets the streaming trace engine draw
-    priorities for frames as they enter the active window instead of holding
-    a draw table proportional to the whole trace.
-
-    Chunk boundaries are invisible: concatenating the chunks reproduces
-    :func:`uniform_matrix` bit for bit.
-
-    >>> import random
-    >>> streams = UniformStreams(seed=11, trials=2)
-    >>> chunk = np.concatenate([streams.next(3), streams.next(2)], axis=1)
-    >>> reference = random.Random(11 + 1)          # trial b=1
-    >>> [reference.random() for _ in range(5)] == list(chunk[1])
-    True
-    >>> streams.draws_produced
-    5
-    """
-
-    def __init__(self, seed: int, trials: int) -> None:
-        if trials < 0:
-            raise ValueError(f"trials must be non-negative, got {trials}")
-        self.trials = trials
-        self._mt = _state_matrix_T([seed + b for b in range(trials)])
-        self._scratch_a = np.empty((MT_N, trials), dtype=np.uint32)
-        self._scratch_b = np.empty((MT_N - 1, trials), dtype=np.uint32)
-        # Tempered words produced by the last twist but not yet paired into
-        # doubles (at most MT_N - 1 rows — the only carried-over state).
-        self._pending = np.empty((0, trials), dtype=np.uint32)
-        #: How many ``random()`` values per trial have been handed out.
-        self.draws_produced = 0
-
-    def next(self, count: int) -> np.ndarray:
-        """The next ``count`` ``random()`` values of every trial.
-
-        Returns a writable ``(trials, count)`` float64 array; entry ``[b, k]``
-        is bit-equal to the ``draws_produced + k``-th ``random()`` call of
-        ``random.Random(seed + b)``.
-        """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        needed = 2 * count
-        blocks = [self._pending]
-        have = self._pending.shape[0]
-        while have < needed:
-            _twist(self._mt, self._scratch_a[: MT_N - 1], self._scratch_b)
-            block = np.empty((MT_N, self.trials), dtype=np.uint32)
-            _temper(self._mt, block, self._scratch_a)
-            blocks.append(block)
-            have += MT_N
-        words = np.concatenate(blocks, axis=0) if len(blocks) > 1 else self._pending
-        # Copy the remainder (< MT_N rows) so the chunk-sized concatenation
-        # above is freed as soon as the chunk is paired.
-        self._pending = words[needed:].copy()
-        self.draws_produced += count
-        return _res53(words[:needed], np.empty((count, self.trials))).T
-
-
 # ----------------------------------------------------------------------
 # The cached uniform table
 # ----------------------------------------------------------------------
@@ -628,7 +554,11 @@ def uniform_matrix(seed: int, trials: int, draws: int) -> np.ndarray:
     out = np.empty((trials, draws), dtype=np.float64, order="F")
     for start in range(0, trials, _TRIAL_BLOCK):
         stop = min(start + _TRIAL_BLOCK, trials)
-        words = _word_matrix_T([seed + b for b in range(start, stop)], 2 * draws)
+        # The stream (state and scratch matrices) is freed before the
+        # pairing allocates its own scratch.
+        words = WordStreams(seed + start, stop - start)._generate(
+            np.empty((2 * draws, stop - start), dtype=np.uint32)
+        )
         _res53(words, out[start:stop].T)  # a (draws, block) C-contiguous view
     out.setflags(write=False)
     if trials and draws and out.nbytes <= _UNIFORM_CACHE_MAX_BYTES:
@@ -653,7 +583,7 @@ def getrandbits64(seed: int, trials: int) -> List[int]:
     """
     if trials <= 0:
         return []
-    words = _word_matrix_T([seed + b for b in range(trials)], 2)
+    words = WordStreams(seed, trials)._generate(np.empty((2, trials), dtype=np.uint32))
     low = words[0].astype(np.uint64)
     high = words[1].astype(np.uint64)
     return [int(value) for value in low | (high << np.uint64(32))]

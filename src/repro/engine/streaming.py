@@ -20,8 +20,10 @@ chunked **time windows**:
   passed, so the resident ``(trials, active_frames)`` pool tracks the
   *admission spread* of the trace — not its length (the sliding-window
   discipline of :class:`~repro.engine.rng.WordStreams`);
-* the draws come from :class:`~repro.engine.rng.UniformStreams`, the
-  chunked form of the bridge's ``random()`` replay.
+* the draws come from :meth:`WordStreams.random
+  <repro.engine.rng.WordStreams.random>`, the bridge's lockstep
+  ``random()`` replay in chunks: only the generator state is held between
+  windows, never a draw table.
 
 **Exactness contract** (the repo's standard one, enforced by
 ``tests/test_router_streaming_differential.py``): trial ``b`` of
@@ -290,14 +292,14 @@ class _StaticKeySource:
         self._uniforms = self._salts = None
         self.replay_trials: set = set()
         if spec.kind in UNIFORM_DRAW_KINDS:
-            self._uniforms = rng_bridge.UniformStreams(seed, rows)
+            self._uniforms = rng_bridge.WordStreams(seed, rows)
         elif spec.kind == "randPr-hashed" and spec.salt is None:
             self._salts = rng_bridge.getrandbits64(seed, rows)
 
     def draw(self, start: int, count: int) -> np.ndarray:
         uniforms = None
         if self._uniforms is not None:
-            uniforms = self._uniforms.next(count)
+            uniforms = self._uniforms.random(count)
             if self._spec.kind == "randPr":
                 self.replay_trials.update(zero_draw_trials(uniforms))
                 exponents = self._compiled.priority_exponents[start : start + count]

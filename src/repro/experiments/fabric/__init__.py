@@ -247,10 +247,10 @@ class SweepSpec:
             raise FabricError(f"malformed sweep spec: {exc}") from exc
 
 
-#: The named sweep specs.  ``standard`` mirrors the standard 200-set sweep
-#: of ``benchmarks/bench_sweep_parallel.py`` (same instances, seeds, trials
-#: and algorithm order, so its rows are comparable across the benchmark
-#: suite); ``smoke`` is the CI-sized fabric exercise.
+#: The named sweep specs.  ``standard`` is the standard 200-set sweep: the
+#: E16 and E17 benchmarks (``benchmarks/bench_sweep_parallel.py`` and
+#: ``benchmarks/bench_store_warm.py``) read it, so their rows are comparable
+#: across the benchmark suite; ``smoke`` is the CI-sized fabric exercise.
 FABRIC_SPECS = {
     "standard": SweepSpec(
         name="standard",

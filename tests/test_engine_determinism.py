@@ -164,9 +164,10 @@ def test_word_stream_frozen_values():
     ``random()``/``getrandbits``/``sample``): same stability argument as the
     draw-table pins above — these literals only move if CPython's generator
     or the bridge's replay breaks, and either must fail loudly."""
-    from repro.engine import WordStreams, word_matrix
+    from repro.engine import WordStreams
 
-    table = word_matrix(0, trials=2, words=3)
+    words = WordStreams(seed=0, trials=2)
+    table = np.stack([words.getrandbits(32) for _ in range(3)], axis=1)
     assert table[0].tolist() == [3626764237, 1654615998, 3255389356]
     assert table[1].tolist() == [577090037, 2444712010, 3639700191]
     live = random.Random(1)

@@ -8,10 +8,11 @@ mirrors:
   multi-digit and mixed-digit-count seeds;
 * :func:`uniform_matrix` against per-trial ``random.Random(seed + b).random()``
   loops, across twist-block boundaries;
-* :func:`word_matrix` and :class:`WordStreams` (the raw word-stream layer
-  under the per-arrival ``sample`` replay) against per-trial
-  ``getrandbits`` loops, including masked advancement (ragged per-trial
-  positions) and on-demand growth past twist boundaries;
+* :class:`WordStreams` (the one stream type: the raw words under the
+  per-arrival ``sample`` replay and the lockstep ``random()`` chunks of the
+  streaming engine) against per-trial ``getrandbits``/``random`` loops,
+  including masked advancement (ragged per-trial positions), on-demand
+  growth past twist boundaries and chunks crossing them;
 * :func:`transplant_rng` (the ``getstate`` → ``set_state`` bridge) against
   the source generator it was transplanted from;
 * :func:`getrandbits64` against ``random.Random(seed + b).getrandbits(64)``;
@@ -48,7 +49,6 @@ from repro.engine import (
     transplant_rng,
     uniform_cache_stats,
     uniform_matrix,
-    word_matrix,
 )
 from repro.engine import rng as rng_bridge
 from repro.engine import specs as specs_module
@@ -161,27 +161,33 @@ def test_uniform_matrix_spans_trial_blocks():
 
 
 # ----------------------------------------------------------------------
-# word_matrix / WordStreams: the raw word-stream layer
+# WordStreams: the one MT19937 stream type
 # ----------------------------------------------------------------------
 
 
+def _raw_words(seed, trials, words):
+    """The ``(trials, words)`` table of raw outputs, read as getrandbits(32)."""
+    streams = WordStreams(seed, trials)
+    columns = [streams.getrandbits(32) for _ in range(words)]
+    return np.stack(columns, axis=1) if columns else np.empty((trials, 0), np.int64)
+
+
 @pytest.mark.parametrize("words", [1, 5, 623, 624, 625, 1300])
-def test_word_matrix_replays_raw_generator_words(words):
+def test_word_streams_replay_raw_generator_words(words):
     """Bit-equal raw 32-bit outputs across twist-block boundaries (624 words
     consume one block)."""
-    table = word_matrix(77, trials=3, words=words)
+    table = _raw_words(77, trials=3, words=words)
     assert table.shape == (3, words)
-    assert table.dtype == np.uint32
     for trial in range(3):
         reference = random.Random(77 + trial)
         assert list(table[trial]) == [reference.getrandbits(32) for _ in range(words)]
 
 
-def test_word_matrix_degenerate_shapes():
-    assert word_matrix(0, trials=0, words=5).shape == (0, 5)
-    assert word_matrix(0, trials=5, words=0).shape == (5, 0)
+def test_word_streams_random_degenerate_shapes():
+    assert WordStreams(0, trials=0).random(5).shape == (0, 5)
+    assert WordStreams(0, trials=5).random(0).shape == (5, 0)
     with pytest.raises(ValueError):
-        word_matrix(0, trials=-1, words=5)
+        WordStreams(0, trials=2).random(-1)
 
 
 def test_word_streams_replay_getrandbits_for_all_trials():
@@ -265,13 +271,67 @@ def test_word_streams_window_slides_on_long_lockstep_streams():
     assert drawn.tolist() == [ref.getrandbits(32) for ref in references]
 
 
-def test_word_streams_agree_with_word_matrix():
-    """The dynamic stream and the static table are the same words."""
-    table = word_matrix(42, trials=3, words=8)
+def test_word_streams_lockstep_generator_agrees_with_ragged_reads():
+    """The lockstep generator and the windowed reads are the same words."""
+    table = WordStreams(seed=42, trials=3)._generate(np.empty((8, 3), np.uint32))
     streams = WordStreams(seed=42, trials=3)
     for k in range(8):
         drawn = streams.getrandbits(32)
-        assert drawn.tolist() == [int(w) for w in table[:, k]]
+        assert drawn.tolist() == [int(w) for w in table[k]]
+
+
+@pytest.mark.parametrize("sizes", [(0, 1, 311, 700), (700, 0, 311, 1), (311, 311, 311)])
+def test_word_streams_random_chunks_concatenate_to_the_reference(sizes):
+    """Chunks of 0, 1, 311 and 700 values cross twist boundaries (312 values
+    per block) invisibly: they concatenate to ``random()`` and to the table."""
+    streams = WordStreams(seed=21, trials=3)
+    chunked = np.concatenate([streams.random(count) for count in sizes], axis=1)
+    draws = sum(sizes)
+    assert chunked.shape == (3, draws)
+    for trial in range(3):
+        reference = random.Random(21 + trial)
+        assert chunked[trial].tolist() == [reference.random() for _ in range(draws)]
+    clear_uniform_cache()
+    assert np.array_equal(chunked, uniform_matrix(21, trials=3, draws=draws))
+
+
+@pytest.mark.parametrize("count", [0, 1, 311, 312, 700])
+def test_word_streams_random_advances_positions_by_two_words(count):
+    streams = WordStreams(seed=6, trials=2)
+    streams.random(count)
+    assert streams.positions.tolist() == [2 * count, 2 * count]
+    assert streams.words_produced == 2 * count
+    references = [random.Random(6 + trial) for trial in range(2)]
+    for reference in references:
+        for _ in range(2 * count):
+            reference.getrandbits(32)
+    # The next read is each reference's word 2 * count + 1.
+    assert streams.getrandbits(32).tolist() == [r.getrandbits(32) for r in references]
+
+
+def test_word_streams_random_refuses_after_a_ragged_read():
+    streams = WordStreams(seed=3, trials=2)
+    streams.random(4)
+    streams.getrandbits(5, mask=np.array([True, False]))
+    with pytest.raises(ValueError):
+        streams.random(1)
+    randbelow = WordStreams(seed=3, trials=2)
+    randbelow.randbelow(6)
+    with pytest.raises(ValueError):
+        randbelow.random(1)
+
+
+def test_word_streams_one_ensure_spanning_three_blocks():
+    """A read needing three twist blocks at once grows the window in one
+    step and still yields the reference words."""
+    streams = WordStreams(seed=12, trials=2)
+    depth = 2 * rng_bridge.MT_N + 5
+    streams._ensure(depth)
+    assert streams.words_produced == 3 * rng_bridge.MT_N
+    references = [random.Random(12 + trial) for trial in range(2)]
+    window = streams._words[:depth].T
+    for trial, reference in enumerate(references):
+        assert window[trial].tolist() == [reference.getrandbits(32) for _ in range(depth)]
 
 
 # ----------------------------------------------------------------------
@@ -555,11 +615,9 @@ def test_uniform_random_bailout_covers_the_rejection_set_branch(monkeypatch):
 def test_uniform_random_trial_blocking_is_invisible(monkeypatch):
     """Splitting the batch into trial blocks must not change a single trial
     (each block's word streams restart at ``seed + block_start``)."""
-    import repro.engine.batch as batch_module
-
     instance = _instance_small()
     whole = simulate_batch(instance, UniformRandomAlgorithm(), trials=9, seed=17)
-    monkeypatch.setattr(batch_module, "_UNIFORM_TRIAL_BLOCK", 4)
+    monkeypatch.setattr(rng_bridge, "_TRIAL_BLOCK", 4)
     split = simulate_batch(instance, UniformRandomAlgorithm(), trials=9, seed=17)
     assert whole.equals(split)
 

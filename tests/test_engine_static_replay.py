@@ -165,13 +165,13 @@ def test_column_blocks_concatenate_to_the_priority_matrix(spec):
     m, trials = compiled.num_sets, 6
     rng = random.Random(SEED)
     cuts = sorted(rng.sample(range(1, m), 3))
-    streams = rng_bridge.UniformStreams(SEED, trials)
+    streams = rng_bridge.WordStreams(SEED, trials)
     salts = None
     if spec.kind == "randPr-hashed" and spec.salt is None:
         salts = rng_bridge.getrandbits64(SEED, trials)
     blocks = []
     for start, stop in zip([0] + cuts, cuts + [m]):
-        uniforms = streams.next(stop - start) if spec.kind in UNIFORM_DRAW_KINDS else None
+        uniforms = streams.random(stop - start) if spec.kind in UNIFORM_DRAW_KINDS else None
         blocks.append(priority_columns(spec, compiled, start, stop, uniforms, salts))
     chunked = np.concatenate(blocks, axis=1)
     whole = priority_matrix(spec, compiled, trials, SEED)

@@ -219,26 +219,26 @@ def test_zero_uniform_falls_back_to_the_scalar_replay(monkeypatch):
     replayed scalar (the reference rejects zero draws, consuming extra RNG
     words the vectorized path cannot mimic) — and still match the reference
     bit for bit, because the replay *is* the reference arithmetic."""
-    real_streams = rng_bridge.UniformStreams
+    real_streams = rng_bridge.WordStreams
 
     class Zeroed(real_streams):
         _tripped = False
 
-        def next(self, count):
-            block = super().next(count)
+        def random(self, count):
+            block = super().random(count)
             if not Zeroed._tripped and block.shape[0] > 1 and count:
                 Zeroed._tripped = True
                 block[1, 0] = 0.0
             return block
 
-    monkeypatch.setattr(rng_bridge, "UniformStreams", Zeroed)
+    monkeypatch.setattr(rng_bridge, "WordStreams", Zeroed)
     trace = TRACES[0]
     stats = {}
     batch = simulate_trace_batch(
         trace, RandPrAlgorithm(), trials=4, seed=SEED, stats=stats
     )
     assert Zeroed._tripped, "the probe never saw a multi-trial draw"
-    monkeypatch.setattr(rng_bridge, "UniformStreams", real_streams)
+    monkeypatch.setattr(rng_bridge, "WordStreams", real_streams)
     reference = simulate_many(
         trace.to_instance(), RandPrAlgorithm(), trials=4, seed=SEED
     )
