@@ -26,13 +26,13 @@ Three phases are measured:
   (the one stage that *cannot* be vectorized bit-exactly; see
   ``docs/INTERNALS-rng.md``), which is also why the draw-table sharing is
   part of the headline number.
-* **uniform-random trials** (E15c, the word-stream phase): end-to-end trial
-  throughput of ``UniformRandomAlgorithm`` — the per-arrival randomized
-  baseline whose ``random.sample`` draws cannot use a precomputed priority
-  row.  The batch engine replays the selection over batched per-trial
-  MT19937 word streams (:class:`repro.engine.rng.WordStreams`); before the
-  rewrite the replay was a per-trial Python loop barely faster than the
-  reference simulator.  Floor: >= 3x reference trial throughput at
+* **uniform-random trials** (E15c, the fixed-draw replay): end-to-end
+  trial throughput of ``UniformRandomAlgorithm`` — the per-arrival
+  randomized baseline whose draws cannot use a precomputed priority row.
+  Every arrival takes a fixed number of ``random()`` draws, so the batch
+  engine reads them for all arrivals from lockstep per-trial MT19937
+  streams (:meth:`repro.engine.rng.WordStreams.random`) and replays every
+  arrival at once.  Floor: >= 3x reference trial throughput at
   1000 trials (measured well above; the margin grows with the batch since
   the vectorized replay's step cost is amortized over all trials).
 
@@ -76,7 +76,7 @@ MIN_SPEEDUP = 10.0
 SETUP_SUITE_MIN_SPEEDUP = 5.0
 SETUP_COLD_MIN_SPEEDUP = 3.0
 
-#: Uniform-random (word-stream replay) floors: >= 3x reference trial
+#: Uniform-random (fixed-draw replay) floors: >= 3x reference trial
 #: throughput at the full batch; the smoke mode uses a reduced batch (the
 #: reference loop is the slow side) against the same floor.
 UNIFORM_MIN_SPEEDUP = 3.0
@@ -277,7 +277,7 @@ def test_e15b_priority_setup_speedup(run_once, experiment_report):
 
 
 def test_e15c_uniform_random_speedup(run_once, experiment_report):
-    """E15c — trial throughput of the word-stream uniform-random replay.
+    """E15c — trial throughput of the fixed-draw uniform-random replay.
 
     ``_compare`` asserts per-trial bit-identity between the engines before
     any timing is trusted, so the floor measures equal computations.
@@ -292,7 +292,7 @@ def test_e15c_uniform_random_speedup(run_once, experiment_report):
         rows,
         title=(
             f"E15c: uniform-random trials, per-trial scalar reference vs "
-            f"word-stream batch replay ({NUM_SETS} sets x {NUM_ELEMENTS} "
+            f"fixed-draw batch replay ({NUM_SETS} sets x {NUM_ELEMENTS} "
             f"elements, shared seeds)"
         ),
     )
@@ -340,7 +340,7 @@ def _smoke():
         f"{SETUP_COLD_MIN_SPEEDUP}x floor"
     )
 
-    # Uniform-random word-stream phase, reduced batch (_compare also runs the
+    # Uniform-random fixed-draw phase, reduced batch (_compare also runs the
     # per-trial bit-identity probe); same two-attempt load tolerance.
     for attempt in (1, 2):
         row = _compare(

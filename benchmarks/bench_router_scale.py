@@ -12,7 +12,7 @@ priority rows of frames whose packets are currently in flight.
 Three assertions are enforced (all three in ``--smoke``/CI):
 
 * **bit-identity probe** — before any timing is trusted, streaming results
-  of randPr, uniform-random (the per-arrival word-stream replay) and greedy
+  of randPr, uniform-random (the per-arrival fixed-draw replay) and greedy
   at window sizes {1, 7, whole-trace} are compared set-for-set against the
   reference per-packet loop on a downscaled trace (the differential suite
   covers this wall exhaustively; the probe keeps the benchmark honest on

@@ -24,11 +24,18 @@ __all__ = ["UniformRandomAlgorithm", "UnweightedPriorityAlgorithm"]
 class UniformRandomAlgorithm(OnlineAlgorithm):
     """Assign each element to ``b(u)`` parent sets chosen uniformly at random.
 
-    Every decision is one ``rng.sample`` over the parent list — fresh
-    randomness per arrival, nothing remembered between arrivals (which is
-    exactly why complete sets are rare; see the module docstring).  The
-    batch engine replays these per-arrival draws over vectorized word
-    streams (:mod:`repro.engine.rng`), bit-equal to this reference:
+    Fresh randomness per arrival, nothing remembered between arrivals (which
+    is exactly why complete sets are rare; see the module docstring).  With
+    ``w`` parents and ``t = min(b(u), w)``, an arrival with ``t == w`` takes
+    every parent and draws nothing; otherwise a partial Fisher–Yates over
+    the parent positions picks the ``t``-subset, draw ``i`` swapping position
+    ``i`` with ``i + int(rng.random() * (w - i))``.  Every draw is one
+    ``random()`` call (two generator words), so an arrival's draws sit at a
+    stream offset fixed by the instance alone, and the batch engine replays
+    all arrivals at once from the lockstep streams of
+    :mod:`repro.engine.rng`, bit-equal to this reference.  ``int(u * n)``
+    is below ``n`` for every double ``u < 1``; each choice deviates from
+    uniform by at most ``w * 2**-53``.
 
     >>> import random
     >>> from repro.core.instance import ElementArrival
@@ -36,15 +43,16 @@ class UniformRandomAlgorithm(OnlineAlgorithm):
     >>> algorithm.start({}, random.Random(11))
     >>> mirror = random.Random(11)
     >>> arrival = ElementArrival("u", capacity=1, parents=("A", "B", "C"))
-    >>> algorithm.decide(arrival) == frozenset(mirror.sample(["A", "B", "C"], 1))
+    >>> algorithm.decide(arrival) == {"ABC"[int(mirror.random() * 3)]}
     True
     """
 
     name = "uniform-random"
     is_deterministic = False
-    #: No behaviour-affecting constructor state: safe to key by type+name
-    #: in the persistent store (see repro.experiments.store.algorithm_identity).
-    cache_identity = ""
+    #: No behaviour-affecting constructor state; the tag names the draw
+    #: contract, so rows of the earlier ``random.sample`` contract never
+    #: answer for it (see repro.experiments.store.algorithm_identity).
+    cache_identity = "fixed-draw"
 
     def __init__(self) -> None:
         self._rng = random.Random()
@@ -54,10 +62,13 @@ class UniformRandomAlgorithm(OnlineAlgorithm):
 
     def decide(self, arrival: ElementArrival) -> FrozenSet[SetId]:
         parents = list(arrival.parents)
-        take = min(arrival.capacity, len(parents))
-        if take == 0:
-            return frozenset()
-        return frozenset(self._rng.sample(parents, take))
+        width = len(parents)
+        take = min(arrival.capacity, width)
+        if take < width:  # otherwise every parent is kept, with no draw
+            for i in range(take):
+                j = i + int(self._rng.random() * (width - i))
+                parents[i], parents[j] = parents[j], parents[i]
+        return frozenset(parents[:take])
 
 
 class UnweightedPriorityAlgorithm(OnlineAlgorithm):

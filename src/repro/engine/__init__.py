@@ -28,8 +28,8 @@ key.
 Randomized draws run through :mod:`repro.engine.rng` — a bit-exact numpy
 replay of CPython's Mersenne Twister: static-priority kinds read a
 vectorized ``random()`` draw table, and per-arrival kinds
-(``uniform-random``) replay ``random.sample`` over batched per-trial word
-streams (``docs/INTERNALS-rng.md`` has the details).
+(``uniform-random``) read a fixed number of ``random()`` values per arrival
+from lockstep per-trial streams (``docs/INTERNALS-rng.md`` has the details).
 """
 
 from repro.engine.batch import BatchResult, batch_from_results, simulate_batch

@@ -13,8 +13,8 @@ for every supported algorithm, trial ``b`` of
 ``simulate_batch(instance, algorithm, trials, seed)`` completes **exactly**
 the same sets as ``simulate(instance, algorithm, rng=random.Random(seed + b))``
 — the randomness is replayed bit-for-bit (static-priority draws through the
-vectorized :mod:`repro.engine.rng` draw table, per-step ``sample`` draws
-through the bridge's batched word streams; see :mod:`repro.engine.specs` and
+vectorized :mod:`repro.engine.rng` draw table, per-step draws through the
+bridge's lockstep streams; see :mod:`repro.engine.specs` and
 ``docs/INTERNALS-rng.md``), the tie-breaks coincide with the reference
 ``(-priority, repr)`` sort key, and even the benefit floats are summed in
 the reference order.  The batch engine is therefore a drop-in replacement
@@ -33,8 +33,6 @@ compiles it once, not once per call.
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -387,153 +385,69 @@ def _run_randpr(compiled: CompiledInstance, trials: int, seed: int) -> np.ndarra
     return completed
 
 
-def _sample_uses_pool(width: int, take: int) -> bool:
-    """Whether ``random.sample(seq_of_len_width, take)`` takes its pool branch.
+#: The uniform-random replay reads its draws one block of arrival steps at a
+#: time; a block holds about this many parents, which bounds its per-block
+#: ``(parents, trials)`` outcome and ``(draws, trials)`` draw matrices.
+_UNIFORM_STEP_BLOCK = 512
 
-    Mirrors CPython's ``setsize`` heuristic: an n-length pool list is used
-    when it is smaller than a k-length selection set would be.
+
+def _uniform_random_plan(compiled: CompiledInstance) -> list:
+    """The static layout of the uniform-random replay, per block of steps.
+
+    Only steps with fewer picks than parents draw (``t = min(b(u), w) <
+    w``), ``t`` values each, in step order.  Returns one ``(draws, groups)``
+    pair per block of such steps: ``draws`` values are read for the block,
+    and each group ``(rows, columns)`` holds the block's steps of one
+    ``(w, t)``, ``rows[s, i]`` being the block row of step ``s``'s draw
+    ``i`` and ``columns`` the ``(steps, w)`` parent columns.
     """
-    setsize = 21
-    if take > 5:
-        setsize += 4 ** math.ceil(math.log(take * 3, 4))
-    return width <= setsize
-
-
-#: The most words one ``_randbelow`` draw may consume, and the most duplicate
-#: redraws one rejection-set draw may make, before its trial bails out.  A
-#: word is accepted with probability >= 1/2 (exactly 1/2 when the bound is 1
-#: or a power of two), so a draw still rejecting after 64 words has
-#: probability <= 2**-64; bailed trials are replayed by the scalar loop.
-_MAX_REPLAY_ROUNDS = 64
-
-#: Losers are dropped once per chunk of steps whose parent counts reach this
-#: many, so a chunk's ``(parents, block)`` outcome matrix stays small.
-_LOSER_DROP_CHUNK = 256
-
-
-def _uniform_random_steps(compiled: CompiledInstance) -> list:
-    """Per-step ``(columns, width, take, use_pool)`` of the uniform-random replay.
-
-    Steps with no parents consume no RNG (the reference algorithm returns
-    before sampling) and are skipped; ``take == width`` steps consume RNG but
-    can never kill a set.
-    """
-    indptr, capacities = compiled.step_indptr, compiled.step_capacities
-    steps = []
-    for step in np.flatnonzero(np.diff(indptr)).tolist():
-        columns = compiled.step_parents[indptr[step] : indptr[step + 1]]
-        width, take = len(columns), min(int(capacities[step]), len(columns))
-        steps.append((columns, width, take, _sample_uses_pool(width, take)))
-    return steps
-
-
-def _loser_drop_chunks(steps: list) -> list:
-    """The static layout of the batched loser drop, per chunk of steps.
-
-    A chunk ``(first, stop, rows, layout)`` is ``steps[first:stop]``, about
-    :data:`_LOSER_DROP_CHUNK` parents; it records its draws in a ``(rows + 1,
-    batch)`` matrix: ``take`` rows per step, then a ``-1`` sentinel row.
-    ``layout`` (``None`` if no step has ``take < width``) lists those steps'
-    parents as ``(draw_rows, positions, columns)``; a parent survives when
-    some ``drawn[draw_rows[d]]`` (the sentinel past its step's take) equals
-    its position.
-    """
-    widths = np.array([step[1] for step in steps], dtype=np.int64)
-    takes = np.array([step[2] for step in steps], dtype=np.int64)
-    offsets = np.cumsum(widths) - widths
-    cuts = (np.flatnonzero(np.diff(offsets // _LOSER_DROP_CHUNK)) + 1).tolist()
-    chunks = []
+    indptr = compiled.step_indptr
+    widths = np.diff(indptr)
+    takes = np.minimum(compiled.step_capacities, widths)
+    steps = np.flatnonzero(takes < widths)
+    if not steps.size:
+        return []
+    widths, takes, offsets = widths[steps], takes[steps], indptr[steps]
+    first_row = np.cumsum(takes) - takes
+    parents_before = np.cumsum(widths) - widths
+    cuts = (np.flatnonzero(np.diff(parents_before // _UNIFORM_STEP_BLOCK)) + 1).tolist()
+    plan = []
     for first, stop in zip([0] + cuts, cuts + [len(steps)]):
         width, take = widths[first:stop], takes[first:stop]
-        rows = int(take.sum())
-        drop = np.flatnonzero(take < width)
-        if not drop.size:
-            chunks.append((first, stop, rows, None))
-            continue
-        lengths = width[drop]
-        position = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        columns = np.concatenate([steps[first + s][0] for s in drop.tolist()])
-        step = np.repeat(drop, lengths)
-        draw = np.arange(int(take[drop].max()))[:, np.newaxis]
-        first_row = (np.cumsum(take) - take)[step]
-        draw_rows = np.where(draw < take[step], first_row + draw, rows)
-        layout = (draw_rows, position[:, np.newaxis], columns)
-        chunks.append((first, stop, rows, layout))
-    return chunks
+        rows = first_row[first:stop] - first_row[first]
+        codes = width * (int(take.max()) + 1) + take
+        groups = []
+        for code in np.unique(codes).tolist():
+            members = np.flatnonzero(codes == code)
+            w, t = int(width[members[0]]), int(take[members[0]])
+            gather = offsets[first + members][:, np.newaxis] + np.arange(w)
+            groups.append(
+                (rows[members][:, np.newaxis] + np.arange(t), compiled.step_parents[gather])
+            )
+        plan.append((int(take.sum()), groups))
+    return plan
 
 
-def _replay_uniform_block(steps: list, seed: int, completed: np.ndarray) -> None:
-    """Replay one trial block of the uniform-random algorithm, vectorized.
+def _fisher_yates_kept(uniforms: np.ndarray, width: int) -> np.ndarray:
+    """Which parent positions a partial Fisher–Yates keeps, per step and lane.
 
-    ``completed`` is the block's ``(batch, m)`` all-``True`` mask, updated in
-    place.  Trial ``b`` reads the words of ``random.Random(seed + b)``; every
-    ``_randbelow`` of either ``random.sample`` branch is one batched
-    :meth:`~repro.engine.rng.WordStreams.randbelow`.  A trial that bails out
-    (``-1``) draws on meaninglessly and is replayed scalar at the end.
+    ``uniforms`` is the ``(steps, t, lanes)`` draws of steps with ``width``
+    parents; draw ``i`` swaps position ``i`` with ``i + int(u * (width -
+    i))``, as the reference algorithm does, and the first ``t`` positions
+    are kept.  Returns the ``(steps, width, lanes)`` mask.
     """
-    batch = completed.shape[0]
-    cap = _MAX_REPLAY_ROUNDS
-    streams = rng_bridge.WordStreams(seed, batch)
-    lanes = np.arange(batch)
-    bailed = np.zeros(batch, dtype=bool)
-    survived = np.ones((completed.shape[1], batch), dtype=bool)
-    for first, stop, rows, layout in _loser_drop_chunks(steps):
-        drawn = np.empty((rows + 1, batch), dtype=np.int64)
-        drawn[rows] = -1
-        row = 0
-        for _columns, width, take, use_pool in steps[first:stop]:
-            chosen = drawn[row : row + take]
-            row += take
-            if take == 1:  # both branches: one _randbelow(width)
-                chosen[0] = streams.randbelow(width, None, cap)
-            elif use_pool:  # partial Fisher-Yates over an index pool
-                pool = np.tile(np.arange(width, dtype=np.int64), (batch, 1))
-                for draw in range(take):
-                    position = streams.randbelow(width - draw, None, cap)
-                    bailed |= position < 0
-                    chosen[draw] = pool[lanes, position]
-                    pool[lanes, position] = pool[:, width - draw - 1].copy()
-            else:  # rejection set: redraw a trial's repeats of its own draws
-                for draw in range(take):
-                    position = streams.randbelow(width, None, cap)
-                    for redraws in range(cap + 1):
-                        bailed |= position < 0
-                        repeat = ~bailed & (position == chosen[:draw]).any(axis=0)
-                        if redraws == cap or not repeat.any():
-                            break
-                        position[repeat] = streams.randbelow(width, repeat, cap)
-                    bailed |= repeat
-                    chosen[draw] = position
-        bailed |= (drawn[:rows] < 0).any(axis=0)
-        if layout is not None:
-            draw_rows, positions, columns = layout
-            won = drawn[draw_rows[0]] == positions
-            for more in draw_rows[1:]:
-                won |= drawn[more] == positions
-            _and_rows(survived, columns, won)
-        if bailed.all():
-            break
-    completed &= survived.T
-    for trial in np.flatnonzero(bailed).tolist():
-        completed[trial] = True
-        dropped = _replay_uniform_trial_scalar(steps, random.Random(seed + trial))
-        completed[trial, dropped] = False
-
-
-def _replay_uniform_trial_scalar(steps: list, rng: random.Random) -> list:
-    """One trial's replay through ``rng.sample``; returns the dropped columns.
-
-    The fallback for trials that bail out of the batched replay, and the
-    plainest statement of what it must reproduce: the reference algorithm
-    samples ``take`` of its parents, and which positions it picks depends
-    only on the parent count and the stream.
-    """
-    dropped = []
-    for columns, width, take, _use_pool in steps:
-        keep = set(rng.sample(range(width), take))
-        if take < width:
-            dropped += [c for p, c in enumerate(columns.tolist()) if p not in keep]
-    return dropped
+    positions = np.arange(width)[:, np.newaxis]
+    if uniforms.shape[1] == 1:  # one draw: the kept position is int(u * width)
+        return (uniforms * width).astype(np.intp) == positions
+    pool = np.tile(positions, (uniforms.shape[0], 1, uniforms.shape[2]))
+    for i in range(uniforms.shape[1]):
+        j = (uniforms[:, i : i + 1] * (width - i)).astype(np.intp) + i
+        current = pool[:, i : i + 1].copy()
+        pool[:, i : i + 1] = np.take_along_axis(pool, j, axis=1)
+        np.put_along_axis(pool, j, current, axis=1)
+    kept = np.zeros(pool.shape, dtype=bool)
+    np.put_along_axis(kept, pool[:, : uniforms.shape[1]], True, axis=1)
+    return kept
 
 
 def _run_uniform_random(
@@ -542,27 +456,28 @@ def _run_uniform_random(
     """Replay all trials of the uniform-random assignment algorithm.
 
     Returns the ``(trials, m)`` completed mask.  The algorithm draws fresh
-    randomness at every arrival (``rng.sample`` over the parent sets), so
-    there is no static priority row to precompute.  But ``sample`` picks
-    positions from the parent count and ``_randbelow`` draws alone, so each
-    ``_randbelow`` replays for a whole trial block as one look-ahead
-    :meth:`~repro.engine.rng.WordStreams.randbelow` over per-trial word
-    streams.  Arrivals only record their draws; the losing parents are
-    dropped once per chunk of arrivals (:func:`_loser_drop_chunks`), and
-    trials that bail out after :data:`_MAX_REPLAY_ROUNDS` rejected words are
-    replayed scalar (see ``docs/INTERNALS-rng.md``).  The differential suite
-    pins the replay against the real ``rng.sample`` across every workload
-    family, so a change to CPython's selection algorithm would fail loudly,
-    not drift silently.
+    randomness at every arrival, but a fixed number of ``random()`` values
+    (see :class:`~repro.algorithms.random_assign.UniformRandomAlgorithm`),
+    so every arrival's draws sit at a stream offset the instance fixes.
+    Each trial block reads them from lockstep
+    :meth:`~repro.engine.rng.WordStreams.random` chunks, one block of steps
+    (:func:`_uniform_random_plan`) at a time, replays every group of equal
+    ``(w, t)`` steps at once (:func:`_fisher_yates_kept`), and clears the
+    parents not kept; a set survives iff it is kept at every arrival.
     """
-    steps = _uniform_random_steps(compiled)
+    plan = _uniform_random_plan(compiled)
     completed = np.ones((trials, compiled.num_sets), dtype=bool)
-    # The bridge's trial block: it bounds the per-block word streams, and
-    # randbelow sizes its look-ahead for a block of this many trials.
     block_trials = rng_bridge._TRIAL_BLOCK
     for start in range(0, trials, block_trials):
-        block = completed[start : start + block_trials]
-        _replay_uniform_block(steps, seed + start, block)
+        lanes = min(block_trials, trials - start)
+        streams = rng_bridge.WordStreams(seed + start, lanes)
+        survived = np.ones((compiled.num_sets, lanes), dtype=bool)
+        for draws, groups in plan:
+            uniforms = streams.random(draws).T  # (draws, lanes), C-contiguous
+            for rows, columns in groups:
+                kept = _fisher_yates_kept(uniforms[rows], columns.shape[1])
+                _and_rows(survived, columns.ravel(), kept.reshape(-1, lanes))
+        completed[start : start + lanes] &= survived.T
     return completed
 
 

@@ -3,7 +3,7 @@
 Every other engine in this package (reference, batch, streaming) is
 *bit-exact*: trial ``b`` replays ``random.Random(seed + b)``'s MT19937
 stream draw for draw, which forces the draw-table LRU, randPr's near-tie
-guard with its reference replay, and the word-stream replay machinery of
+guard with its reference replay, and the lockstep MT19937 streams of
 :mod:`repro.engine.rng`.  The fast engine drops that contract for a
 **statistical** one — its per-trial benefit *distribution* must match the
 exact engines', but individual trials need not — and in exchange gets:

@@ -23,10 +23,9 @@ CPython's Mersenne Twister in numpy:
   ``(624, trials)`` state matrix.  Every consumer reads its words:
   :func:`uniform_matrix` (the cached ``(trials, draws)`` table of
   ``random.Random(seed + b).random()`` values), :meth:`WordStreams.random`
-  (the same values in chunks, for the streaming engine),
-  :func:`getrandbits64` (the hashed variant's salts), and the batched
-  ``getrandbits``/``_randbelow`` replays of uniform-random's per-arrival
-  ``sample`` calls, where every trial owns an independent read position.
+  (the same values in chunks, for the streaming engine's static draws and
+  for uniform-random's fixed per-arrival draws) and :func:`getrandbits64`
+  (the hashed variant's salts).
 * :func:`exact_pow` applies the inverse-CDF transform ``u ** (1/w)`` with the
   same C-library ``pow`` the reference algorithms call.  numpy's vectorized
   ``**`` uses a SIMD polynomial that is *not* bit-identical to libm ``pow``
@@ -78,8 +77,7 @@ _TEMPER_B = np.uint32(0x9D2C5680)
 _TEMPER_C = np.uint32(0xEFC60000)
 
 #: Trials are processed in blocks of this many rows (by :func:`uniform_matrix`
-#: and the uniform-random replay, whose :meth:`WordStreams.randbelow` sizes its
-#: look-ahead for such a block) so the transient state stays a few megabytes.
+#: and the uniform-random replay) so the transient state stays a few megabytes.
 _TRIAL_BLOCK = 4096
 
 #: ``i`` as a wrapping ``uint32`` scalar, precomputed for the seeding loops.
@@ -274,26 +272,14 @@ def _temper(words: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarr
 
 
 class WordStreams:
-    """Per-trial raw MT19937 word streams with independently advancing positions.
+    """Per-trial MT19937 streams, generated in lockstep.
 
     Stream ``b`` replays the tempered 32-bit outputs of
     ``random.Random(seed + b)`` (the batch engine's trial seeding) from one
-    lockstep generator, the bridge's only twist/temper loop.  :meth:`random`
-    reads it in lockstep chunks; :meth:`getrandbits` and :meth:`randbelow`
-    replay CPython draws for the trials a ``mask`` selects (one word each,
-    and as many words as each trial's ``_randbelow`` rejection loop takes)
-    over a sliding window, so positions stay exact when consumption is
-    ragged.
-
-    >>> import random
-    >>> streams = WordStreams(seed=3, trials=2)
-    >>> reference = [random.Random(3 + b) for b in range(2)]
-    >>> list(streams.getrandbits(5)) == [r.getrandbits(5) for r in reference]
-    True
-    >>> import numpy as np
-    >>> _ = streams.getrandbits(7, mask=np.array([True, False]))  # trial 0 only
-    >>> streams.positions.tolist()
-    [2, 1]
+    lockstep generator, the bridge's only twist/temper loop.  Every trial
+    reads the same number of words, so no per-trial position is kept:
+    :meth:`random` hands out the next ``random()`` values of every trial,
+    and :func:`uniform_matrix` and :func:`getrandbits64` read raw words.
     """
 
     def __init__(self, seed: int, trials: int) -> None:
@@ -304,27 +290,8 @@ class WordStreams:
         # Rows of the current twist block already handed out; a freshly
         # seeded generator (CPython's position 624) twists on its first word.
         self._block_used = MT_N
-        # The word window: rows [_base, _base + len) of the per-trial streams.
-        # It slides (see _ensure), so memory tracks the *spread* between the
-        # slowest and fastest trial, not the total stream length.
-        self._base = 0
-        self._words = np.empty((0, trials), dtype=np.uint32)
-        # Trial b's next word, as a flat index into the window: (p - _base)
-        # * trials + b at stream position p.
-        self._lanes = np.arange(trials)
-        self._cursor = self._lanes.copy()
         self._scratch_a = np.empty((MT_N, trials), dtype=np.uint32)
         self._scratch_b = np.empty((MT_N - 1, trials), dtype=np.uint32)
-
-    @property
-    def positions(self) -> np.ndarray:
-        """The number of words each trial has consumed so far."""
-        return self._base + self._cursor // max(self.trials, 1)
-
-    @property
-    def words_produced(self) -> int:
-        """How many words per trial have been generated."""
-        return self._base + self._words.shape[0]
 
     def _generate(self, out: np.ndarray) -> np.ndarray:
         """Fill the ``(count, trials)`` array ``out`` with the next words.
@@ -344,34 +311,12 @@ class WordStreams:
             self._block_used, filled = used + take, filled + take
         return out
 
-    def _ensure(self, depth: int) -> None:
-        """Make the window hold the next ``depth`` words of every trial."""
-        rows = int(self._cursor.max()) // self.trials + depth
-        have = self._words.shape[0]
-        if rows <= have:
-            return
-        # Slide the window: rows below every trial's position can never be
-        # read again.  Discarding in at-least-block-sized steps keeps the
-        # copy amortized against the twist work that produced the rows.
-        drop = int(self._cursor.min()) // self.trials
-        drop = drop if drop >= MT_N else 0
-        keep = have - drop
-        grow = -(-(rows - have) // MT_N) * MT_N  # whole blocks
-        window = np.empty((keep + grow, self.trials), dtype=np.uint32)
-        window[:keep] = self._words[drop:]
-        self._words = window
-        self._generate(window[keep:])
-        self._base += drop
-        self._cursor -= drop * self.trials
-
     def random(self, count: int) -> np.ndarray:
         """The next ``count`` ``random()`` values of every trial, in lockstep.
 
-        Returns a writable ``(trials, count)`` float64 array; chunks
-        concatenate to :func:`uniform_matrix`, and :attr:`positions` advance
-        by two words per value.  Only lockstep reads are possible: after a
-        :meth:`getrandbits` or :meth:`randbelow` call this raises
-        ``ValueError``.
+        Returns a writable ``(trials, count)`` float64 array (a transposed
+        view of a C-contiguous ``(count, trials)`` one); chunks concatenate
+        to :func:`uniform_matrix`.
 
         >>> import random
         >>> streams = WordStreams(seed=11, trials=2)
@@ -379,89 +324,11 @@ class WordStreams:
         >>> reference = random.Random(11 + 1)          # trial b=1
         >>> [reference.random() for _ in range(5)] == list(chunk[1])
         True
-        >>> streams.positions.tolist()
-        [10, 10]
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        if self._words.shape[0]:
-            raise ValueError("random() needs lockstep streams; a ragged read happened")
         words = self._generate(np.empty((2 * count, self.trials), dtype=np.uint32))
-        self._base += 2 * count
         return _res53(words, np.empty((count, self.trials))).T
-
-    def getrandbits(self, bits: int, mask: "np.ndarray | None" = None) -> np.ndarray:
-        """The next ``getrandbits(bits)`` value of each selected trial.
-
-        Replays CPython exactly for ``1 <= bits <= 32``: one raw word is
-        consumed and its top ``bits`` bits returned (``word >> (32 - bits)``).
-        ``mask`` selects which trials draw (all of them when ``None``); only
-        those trials' positions advance.  Returns an ``int64`` array of
-        length ``mask.sum()``, in ascending trial order.
-        """
-        if not 1 <= bits <= 32:
-            raise ValueError(f"bits must be in 1..32, got {bits}")
-        lanes = self._lanes if mask is None else np.flatnonzero(mask)
-        if lanes.size == 0:
-            return np.empty(0, dtype=np.int64)
-        self._ensure(1)
-        cursor = self._cursor[lanes]
-        self._cursor[lanes] = cursor + self.trials
-        return (self._words.ravel().take(cursor) >> np.uint32(32 - bits)).astype(np.int64)
-
-    def randbelow(
-        self, bound: int, mask: "np.ndarray | None" = None, limit: int = 64
-    ) -> np.ndarray:
-        """The next ``_randbelow(bound)`` value of each selected trial.
-
-        Replays CPython's ``getrandbits(bound.bit_length())``-until-below-
-        ``bound`` loop for ``1 <= bound < 2**32``, word for word.  One flat
-        ``take`` reads each trial's next ``depth`` words, one ``argmax`` finds
-        the first accepted one, and only trials that rejected all ``depth``
-        look ahead again.  With ``r = 1 - bound / 2**bits <= 1/2`` the chance
-        a word is rejected, ``depth`` is the smallest with ``_TRIAL_BLOCK *
-        r**depth < 1``: a full trial block expects under one trial to look
-        again.  A trial that rejects ``limit`` words in a row gets ``-1``.
-        ``mask`` and the result are as in :meth:`getrandbits`.
-
-        >>> import random
-        >>> streams = WordStreams(seed=5, trials=3)
-        >>> reference = [random.Random(5 + b) for b in range(3)]
-        >>> [streams.randbelow(n).tolist() for n in (1, 6, 4)] == [
-        ...     [r.randrange(n) for r in reference] for n in (1, 6, 4)]
-        True
-        >>> streams.getrandbits(32).tolist() == [r.getrandbits(32) for r in reference]
-        True
-        """
-        bits = int(bound).bit_length()
-        if not 1 <= bits <= 32:
-            raise ValueError(f"bound must be in 1..2**32 - 1, got {bound}")
-        lanes = self._lanes if mask is None else np.flatnonzero(mask)
-        values, rows = np.full(lanes.size, -1, dtype=np.int64), np.arange(lanes.size)
-        shift = np.uint32(32 - bits)
-        ceiling = np.uint32(bound << shift)  # word < ceiling <=> accepted
-        depth = 1 + int(math.log(_TRIAL_BLOCK) / -math.log1p(-bound / (1 << bits)))
-        step = self.trials
-        while lanes.size and limit > 0:
-            depth = min(depth, limit)
-            self._ensure(depth)
-            words = self._words.ravel()
-            cursor = self._cursor[lanes]
-            block = words.take(cursor[:, np.newaxis] + np.arange(0, depth * step, step))
-            cursor += (block < ceiling).argmax(axis=1) * step
-            word = words.take(cursor)
-            hit = word < ceiling
-            cursor += step
-            if hit.all():
-                self._cursor[lanes] = cursor
-                values[rows] = word >> shift
-                break
-            cursor[~hit] += (depth - 1) * step  # rejected the whole block
-            self._cursor[lanes] = cursor
-            values[rows[hit]] = word[hit] >> shift
-            lanes, rows = lanes[~hit], rows[~hit]
-            limit -= depth
-        return values
 
 
 def _res53(words: np.ndarray, out: np.ndarray) -> np.ndarray:

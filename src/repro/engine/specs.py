@@ -22,13 +22,14 @@ supported:
   state, so the engine recomputes an integer sort key per arrival from the
   batch state matrices.  These are deterministic, so every trial of a batch
   is the same run ("degenerate" batches).
-* **per-step-random** algorithms (``uniform-random``): a fresh ``sample``
-  at every arrival interleaves with the arrival loop, which rules out the
-  precomputed ``random()`` draw table (the draw-order contract of
-  ``docs/INTERNALS-rng.md``).  The engine replays each ``_randbelow`` of
-  both ``sample`` branches for all trials at once over the bridge's
-  per-trial **word streams** (:meth:`~repro.engine.rng.WordStreams.randbelow`);
-  a scalar per-trial replay survives only for pathological retry tails.
+* **per-step-random** algorithms (``uniform-random``): fresh draws at every
+  arrival, so no static priority row exists (the draw-order contract of
+  ``docs/INTERNALS-rng.md``).  Each arrival takes a fixed number of
+  ``random()`` values (a partial Fisher–Yates over its parents), so its
+  draws sit at a stream offset the instance fixes; the engine reads them
+  for all trials from lockstep chunks
+  (:meth:`~repro.engine.rng.WordStreams.random`) and replays every arrival
+  at once.
 
 :func:`spec_for_algorithm` maps a reference algorithm object to its spec
 (or ``None`` when the algorithm cannot be vectorized — e.g. a custom hash
@@ -98,8 +99,8 @@ STATIC_PRIORITY_KINDS = frozenset(
 GREEDY_KINDS = frozenset({"greedy-weight", "greedy-progress", "greedy-committed"})
 
 #: Kinds that draw fresh randomness at every arrival (no static priority row
-#: exists); the engine replays the per-step draws over batched per-trial
-#: word streams (:class:`repro.engine.rng.WordStreams`) instead.
+#: exists); the engine reads the per-step draws from lockstep per-trial
+#: streams (:class:`repro.engine.rng.WordStreams`) instead.
 PER_STEP_RANDOM_KINDS = frozenset({"uniform-random"})
 
 SUPPORTED_KINDS = STATIC_PRIORITY_KINDS | GREEDY_KINDS | PER_STEP_RANDOM_KINDS

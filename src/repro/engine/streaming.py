@@ -18,8 +18,7 @@ chunked **time windows**:
 * a frame's ``(trials,)`` priority row is drawn when the window containing
   its first packet-slot opens and freed once its last packet-slot has
   passed, so the resident ``(trials, active_frames)`` pool tracks the
-  *admission spread* of the trace — not its length (the sliding-window
-  discipline of :class:`~repro.engine.rng.WordStreams`);
+  *admission spread* of the trace — not its length;
 * the draws come from :meth:`WordStreams.random
   <repro.engine.rng.WordStreams.random>`, the bridge's lockstep
   ``random()`` replay in chunks: only the generator state is held between
@@ -448,9 +447,9 @@ def simulate_trace_batch(
     size produces identical results.  Static-priority kinds hold their
     ``(trials, active_frames)`` row pool only for frames inside the sliding
     admission window; greedy kinds keep a single ``(1, m)`` state pair (no
-    trial axis); the per-arrival ``uniform-random`` kind replays over the
-    bridge's sliding word streams exactly as the batch engine does (its
-    draws are already time-ordered).
+    trial axis); the per-arrival ``uniform-random`` kind runs the batch
+    engine's replay over the whole trace (its draws are already
+    time-ordered, one block of steps at a time).
 
     ``stats``, when a dict is passed, is filled with the run's memory model:
     ``windows``, ``priority_rows``, ``peak_pooled_rows`` (the high-water

@@ -23,12 +23,12 @@ __all__ = ["LpBound", "lp_relaxation_bound", "dual_feasible_bound"]
 
 try:  # pragma: no cover - exercised indirectly depending on environment
     from scipy.optimize import linprog as _linprog
-    from scipy.sparse import lil_matrix as _lil_matrix
+    from scipy.sparse import csr_matrix as _csr_matrix
 
     _HAVE_SCIPY = True
 except ImportError:  # pragma: no cover
     _linprog = None
-    _lil_matrix = None
+    _csr_matrix = None
     _HAVE_SCIPY = False
 
 
@@ -92,14 +92,21 @@ def lp_relaxation_bound(system: SetSystem, prefer_scipy: bool = True) -> LpBound
     objective = [-system.weight(set_id) for set_id in set_ids]
 
     if element_ids:
-        constraint = _lil_matrix((len(element_ids), len(set_ids)))
-        for row, element in enumerate(element_ids):
-            for set_id in system.parents(element):
-                constraint[row, set_index[set_id]] = 1.0
+        # One row per element, its parents' columns sorted: the CSR arrays
+        # a row-by-row build would produce, without the per-item inserts.
+        indices: List[int] = []
+        indptr = [0]
+        for element in element_ids:
+            indices += sorted(set_index[set_id] for set_id in system.parents(element))
+            indptr.append(len(indices))
+        constraint = _csr_matrix(
+            ([1.0] * len(indices), indices, indptr),
+            shape=(len(element_ids), len(set_ids)),
+        )
         upper = [float(system.capacity(element)) for element in element_ids]
         result = _linprog(
             objective,
-            A_ub=constraint.tocsr(),
+            A_ub=constraint,
             b_ub=upper,
             bounds=[(0.0, 1.0)] * len(set_ids),
             method="highs",

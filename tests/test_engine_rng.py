@@ -8,16 +8,13 @@ mirrors:
   multi-digit and mixed-digit-count seeds;
 * :func:`uniform_matrix` against per-trial ``random.Random(seed + b).random()``
   loops, across twist-block boundaries;
-* :class:`WordStreams` (the one stream type: the raw words under the
-  per-arrival ``sample`` replay and the lockstep ``random()`` chunks of the
-  streaming engine) against per-trial ``getrandbits``/``random`` loops,
-  including masked advancement (ragged per-trial positions), on-demand
-  growth past twist boundaries and chunks crossing them;
+* :class:`WordStreams` (the one stream type: the raw words under the draw
+  table and the lockstep ``random()`` chunks of the streaming engine and
+  the uniform-random replay) against per-trial ``getrandbits``/``random``
+  loops, across twist boundaries and with chunks crossing them;
 * :func:`transplant_rng` (the ``getstate`` → ``set_state`` bridge) against
   the source generator it was transplanted from;
 * :func:`getrandbits64` against ``random.Random(seed + b).getrandbits(64)``;
-* ``batch._sample_uses_pool`` against the branch CPython's ``random.sample``
-  actually takes (hypothesis, across the ``(width, take)`` plane);
 * :func:`exact_pow` against CPython's scalar ``**`` (the property the numpy
   SIMD ``**`` does *not* have, which is why exact_pow exists);
 * the rewritten :func:`~repro.engine.specs.priority_matrix` against the
@@ -28,7 +25,6 @@ mirrors:
 
 import math
 import random
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -166,10 +162,8 @@ def test_uniform_matrix_spans_trial_blocks():
 
 
 def _raw_words(seed, trials, words):
-    """The ``(trials, words)`` table of raw outputs, read as getrandbits(32)."""
-    streams = WordStreams(seed, trials)
-    columns = [streams.getrandbits(32) for _ in range(words)]
-    return np.stack(columns, axis=1) if columns else np.empty((trials, 0), np.int64)
+    """The ``(trials, words)`` table of raw generator outputs."""
+    return WordStreams(seed, trials)._generate(np.empty((words, trials), np.uint32)).T
 
 
 @pytest.mark.parametrize("words", [1, 5, 623, 624, 625, 1300])
@@ -190,94 +184,9 @@ def test_word_streams_random_degenerate_shapes():
         WordStreams(0, trials=2).random(-1)
 
 
-def test_word_streams_replay_getrandbits_for_all_trials():
-    streams = WordStreams(seed=2024, trials=5)
-    references = [random.Random(2024 + trial) for trial in range(5)]
-    for bits in (1, 3, 7, 16, 31, 32):
-        drawn = streams.getrandbits(bits)
-        assert drawn.tolist() == [ref.getrandbits(bits) for ref in references]
-
-
-def test_word_streams_masked_advancement_keeps_per_trial_positions():
-    """Only masked trials consume a word: the exact property the ragged
-    ``_randbelow`` retry replay depends on."""
-    streams = WordStreams(seed=9, trials=4)
-    references = [random.Random(9 + trial) for trial in range(4)]
-    mask_rounds = [
-        np.array([True, True, True, True]),
-        np.array([True, False, True, False]),
-        np.array([False, False, True, False]),
-        np.array([True, True, False, True]),
-    ]
-    for mask in mask_rounds:
-        drawn = streams.getrandbits(5, mask)
-        expected = [references[t].getrandbits(5) for t in np.flatnonzero(mask)]
-        assert drawn.tolist() == expected
-    assert streams.positions.tolist() == [3, 2, 3, 2]
-
-
-def test_word_streams_grow_past_twist_boundaries_on_demand():
-    streams = WordStreams(seed=5, trials=2)
-    references = [random.Random(5 + trial) for trial in range(2)]
-    assert streams.words_produced == 0
-    first = streams.getrandbits(32)
-    assert streams.words_produced == rng_bridge.MT_N
-    assert first.tolist() == [ref.getrandbits(32) for ref in references]
-    # Push one trial across the first twist boundary; the other stays put.
-    only_first = np.array([True, False])
-    for _ in range(rng_bridge.MT_N + 10):
-        streams.getrandbits(32, only_first)
-    assert streams.words_produced == 2 * rng_bridge.MT_N
-    for _ in range(rng_bridge.MT_N + 10):
-        references[0].getrandbits(32)
-    drawn = streams.getrandbits(13)
-    assert drawn.tolist() == [ref.getrandbits(13) for ref in references]
-
-
 def test_word_streams_validate_arguments():
-    streams = WordStreams(seed=0, trials=2)
-    with pytest.raises(ValueError):
-        streams.getrandbits(0)
-    with pytest.raises(ValueError):
-        streams.getrandbits(33)
     with pytest.raises(ValueError):
         WordStreams(seed=0, trials=-1)
-    empty = WordStreams(seed=0, trials=0)
-    assert empty.getrandbits(8).shape == (0,)
-    assert empty.positions.shape == (0,)
-
-
-def test_word_streams_empty_mask_consumes_nothing():
-    streams = WordStreams(seed=1, trials=3)
-    none = streams.getrandbits(8, np.zeros(3, dtype=bool))
-    assert none.shape == (0,)
-    assert streams.positions.tolist() == [0, 0, 0]
-    assert streams.words_produced == 0  # no word was even generated
-
-
-def test_word_streams_window_slides_on_long_lockstep_streams():
-    """Fully-consumed rows are discarded: memory tracks the position spread,
-    not the total stream length, so long arrival sequences stay bounded."""
-    streams = WordStreams(seed=8, trials=3)
-    references = [random.Random(8 + trial) for trial in range(3)]
-    for _ in range(5 * rng_bridge.MT_N):
-        drawn = streams.getrandbits(9)
-        assert drawn.tolist() == [ref.getrandbits(9) for ref in references]
-    assert streams.words_produced == 5 * rng_bridge.MT_N
-    # The retained window holds at most the last couple of twist blocks.
-    assert streams._words.shape[0] <= 2 * rng_bridge.MT_N
-    # Sliding is invisible: the next draws still line up.
-    drawn = streams.getrandbits(32)
-    assert drawn.tolist() == [ref.getrandbits(32) for ref in references]
-
-
-def test_word_streams_lockstep_generator_agrees_with_ragged_reads():
-    """The lockstep generator and the windowed reads are the same words."""
-    table = WordStreams(seed=42, trials=3)._generate(np.empty((8, 3), np.uint32))
-    streams = WordStreams(seed=42, trials=3)
-    for k in range(8):
-        drawn = streams.getrandbits(32)
-        assert drawn.tolist() == [int(w) for w in table[k]]
 
 
 @pytest.mark.parametrize("sizes", [(0, 1, 311, 700), (700, 0, 311, 1), (311, 311, 311)])
@@ -296,42 +205,41 @@ def test_word_streams_random_chunks_concatenate_to_the_reference(sizes):
 
 
 @pytest.mark.parametrize("count", [0, 1, 311, 312, 700])
-def test_word_streams_random_advances_positions_by_two_words(count):
+def test_word_streams_random_consumes_two_words_per_value(count):
     streams = WordStreams(seed=6, trials=2)
     streams.random(count)
-    assert streams.positions.tolist() == [2 * count, 2 * count]
-    assert streams.words_produced == 2 * count
     references = [random.Random(6 + trial) for trial in range(2)]
     for reference in references:
         for _ in range(2 * count):
             reference.getrandbits(32)
-    # The next read is each reference's word 2 * count + 1.
-    assert streams.getrandbits(32).tolist() == [r.getrandbits(32) for r in references]
+    # The next word is each reference's word 2 * count + 1.
+    word = streams._generate(np.empty((1, 2), np.uint32))[0]
+    assert word.tolist() == [r.getrandbits(32) for r in references]
 
 
-def test_word_streams_random_refuses_after_a_ragged_read():
-    streams = WordStreams(seed=3, trials=2)
-    streams.random(4)
-    streams.getrandbits(5, mask=np.array([True, False]))
-    with pytest.raises(ValueError):
-        streams.random(1)
-    randbelow = WordStreams(seed=3, trials=2)
-    randbelow.randbelow(6)
-    with pytest.raises(ValueError):
-        randbelow.random(1)
+@pytest.mark.parametrize("words", [1, 623, 624, 625])
+def test_word_streams_random_pairs_words_from_any_offset(words):
+    """After an odd or block-straddling count of raw words, ``random()``
+    pairs the next two words: the part of a block not yet handed out stays
+    in the generator state, untempered, until it is read."""
+    streams = WordStreams(seed=31, trials=2)
+    streams._generate(np.empty((words, 2), np.uint32))
+    drawn = streams.random(315)
+    for trial in range(2):
+        reference = random.Random(31 + trial)
+        for _ in range(words):
+            reference.getrandbits(32)
+        assert drawn[trial].tolist() == [reference.random() for _ in range(315)]
 
 
-def test_word_streams_one_ensure_spanning_three_blocks():
-    """A read needing three twist blocks at once grows the window in one
-    step and still yields the reference words."""
-    streams = WordStreams(seed=12, trials=2)
-    depth = 2 * rng_bridge.MT_N + 5
-    streams._ensure(depth)
-    assert streams.words_produced == 3 * rng_bridge.MT_N
-    references = [random.Random(12 + trial) for trial in range(2)]
-    window = streams._words[:depth].T
-    for trial, reference in enumerate(references):
-        assert window[trial].tolist() == [reference.getrandbits(32) for _ in range(depth)]
+def test_word_streams_long_lockstep_streams_stay_exact():
+    """One value at a time over five twist blocks (the replay reads a block
+    of steps per call) is still the reference stream."""
+    streams = WordStreams(seed=8, trials=3)
+    references = [random.Random(8 + trial) for trial in range(3)]
+    for _ in range(5 * rng_bridge.MT_N // 2):
+        drawn = streams.random(1)[:, 0]
+        assert drawn.tolist() == [reference.random() for reference in references]
 
 
 # ----------------------------------------------------------------------
@@ -580,38 +488,6 @@ def test_per_step_random_kind_routes_through_word_stream_replay(monkeypatch):
         assert batch.completed_sets(trial) == result.completed_sets
 
 
-@pytest.mark.parametrize("cap", [0, 1, 3])
-def test_uniform_random_retry_tail_bailout_replays_scalar(monkeypatch, cap):
-    """Trials whose vectorized retry loops hit the round cap must fall back
-    to the scalar per-trial replay — and still match the reference bit for
-    bit.  Forcing the cap down makes every (cap=0) or many (cap=1, 3) trials
-    take that path on an ordinary instance."""
-    import repro.engine.batch as batch_module
-
-    monkeypatch.setattr(batch_module, "_MAX_REPLAY_ROUNDS", cap)
-    instance = _instance_small()
-    batch = simulate_batch(instance, UniformRandomAlgorithm(), trials=8, seed=3)
-    reference = simulate_many(instance, UniformRandomAlgorithm(), trials=8, seed=3)
-    for trial, result in enumerate(reference):
-        assert batch.completed_sets(trial) == result.completed_sets
-        assert float(batch.benefits[trial]) == result.benefit
-
-
-def test_uniform_random_bailout_covers_the_rejection_set_branch(monkeypatch):
-    """Same bail-out guarantee on a dense instance (widths past the pool
-    threshold), where the duplicate-rejection loop is also in play."""
-    import repro.engine.batch as batch_module
-    from repro.workloads import random_online_instance
-
-    monkeypatch.setattr(batch_module, "_MAX_REPLAY_ROUNDS", 1)
-    instance = random_online_instance(120, 12, (2, 4), random.Random(11))
-    assert max(arrival.load for arrival in instance.arrivals()) > 21
-    batch = simulate_batch(instance, UniformRandomAlgorithm(), trials=6, seed=31)
-    reference = simulate_many(instance, UniformRandomAlgorithm(), trials=6, seed=31)
-    for trial, result in enumerate(reference):
-        assert batch.completed_sets(trial) == result.completed_sets
-
-
 def test_uniform_random_trial_blocking_is_invisible(monkeypatch):
     """Splitting the batch into trial blocks must not change a single trial
     (each block's word streams restart at ``seed + block_start``)."""
@@ -620,57 +496,6 @@ def test_uniform_random_trial_blocking_is_invisible(monkeypatch):
     monkeypatch.setattr(rng_bridge, "_TRIAL_BLOCK", 4)
     split = simulate_batch(instance, UniformRandomAlgorithm(), trials=9, seed=17)
     assert whole.equals(split)
-
-
-# ----------------------------------------------------------------------
-# _sample_uses_pool: pinned against CPython's actual sample branch
-# ----------------------------------------------------------------------
-
-
-class _BranchProbe(Sequence):
-    """A sequence that records whether ``random.sample`` materialized it.
-
-    CPython's pool branch starts with ``pool = list(population)``, which
-    iterates the whole sequence; the rejection-set branch only ever indexes
-    the selected positions.  Observing ``__iter__`` therefore observes the
-    branch choice itself.
-    """
-
-    def __init__(self, width):
-        self.width = width
-        self.listed = False
-
-    def __len__(self):
-        return self.width
-
-    def __getitem__(self, index):
-        if not 0 <= index < self.width:
-            raise IndexError(index)
-        return index
-
-    def __iter__(self):
-        self.listed = True
-        return iter(range(self.width))
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    width=st.integers(min_value=1, max_value=3000),
-    take_fraction=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.integers(min_value=0, max_value=2**32),
-)
-def test_sample_uses_pool_matches_cpython_branch_choice(width, take_fraction, seed):
-    """``_sample_uses_pool`` mirrors CPython's ``setsize`` heuristic; if an
-    upstream CPython release moved the threshold, the engine's replay would
-    take the wrong branch — this property makes that fail loudly across the
-    whole ``(width, take)`` plane the engine can encounter (``take >= 1``:
-    zero-take arrivals never call ``sample``)."""
-    from repro.engine.batch import _sample_uses_pool
-
-    take = max(1, round(take_fraction * width))
-    probe = _BranchProbe(width)
-    random.Random(seed).sample(probe, take)
-    assert _sample_uses_pool(width, take) == probe.listed
 
 
 # ----------------------------------------------------------------------

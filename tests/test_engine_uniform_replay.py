@@ -1,177 +1,262 @@
-"""The uniform-random replay kernel against its oracles.
+"""The uniform-random replay against the scalar reference ``decide``.
 
-The batch engine replays ``uniform-random`` (one ``random.sample`` over the
-parent sets per arrival) through :meth:`WordStreams.randbelow`, a look-ahead
-``_randbelow`` over per-trial word streams, and drops the losing parents once
-per chunk of steps.  These tests pin that kernel directly, on synthetic step
-lists that reach corners a generated instance rarely does:
+``UniformRandomAlgorithm.decide`` draws a fixed number of ``random()``
+values per arrival: a partial Fisher–Yates over the ``w`` parents, one
+value per pick, and none at all when it takes every parent.  So every
+arrival's draws sit at a stream offset the instance fixes, and
+``batch._run_uniform_random`` replays all arrivals of a trial block at once
+from lockstep streams.  These tests pin that replay on step lists that reach
+corners a generated instance rarely or never does:
 
-* :meth:`WordStreams.randbelow` against CPython's ``_randbelow`` (bounds 1,
-  powers of two and ``2**32 - 1``; masks; the ``limit`` bail-out);
-* ``batch._replay_uniform_block`` against the scalar per-trial oracle
-  ``batch._replay_uniform_trial_scalar`` (CPython's ``random.sample`` over
-  the parent positions), for widths 1..40, every ``take`` from 1 to the width
-  (both ``sample`` branches), batches of 1, 7 and 300 — with the look-ahead
-  forced to one word so the rescue rounds run on most steps, and with the
-  retry cap forced to 0, 1 and 3 so trials bail out to the scalar replay;
-* the loser-drop chunk size, which must be invisible on an instance and on a
-  compiled trace.
+* widths 0..12 with every pick count from 1 to the width (``t == 1``,
+  ``t > 1`` and ``t == w``), including steps with no parents, which no
+  instance can hold;
+* draws forced to ``0.0`` and to ``1 - 2**-53``, the largest double below 1
+  (``int(u * n)`` must stay below ``n``);
+* step-block and trial-block boundaries, with both block sizes forced small,
+  and seeds of every seeding-key class;
+* the contract itself on the reference: an arrival reads exactly ``t``
+  values when ``t < w`` and none otherwise; and the pieces of the replay on
+  their own (the Fisher–Yates kernel lane by lane, the per-block plan);
+* one frozen pin of the contract, and its statistics: per-arrival choice
+  frequencies (chi-square) and the benefit distribution against the earlier
+  ``random.sample`` policy (two-sample KS), at a level fixed in advance.
 """
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.algorithms import UniformRandomAlgorithm
-from repro.core import simulate_batch
+from repro.core import simulate_batch, simulate_many
+from repro.core.instance import ElementArrival, InstanceBuilder
 from repro.engine import WordStreams
 from repro.engine import batch as batch_module
 from repro.engine import rng as rng_bridge
 from repro.engine.streaming import compile_trace, simulate_trace_batch
 from repro.network.traffic import PoissonBurstGenerator
+from repro.testing import ks_two_sample
 from repro.workloads import random_online_instance
 
-#: Columns shared by many steps (so a chunk holds a column more than once).
+#: Columns shared by many steps (so a block holds a column more than once).
 HUBS = 4
+
+#: The level of both statistical tests, fixed before they were first run.
+ALPHA = 0.001
+
+#: Upper ``ALPHA`` quantiles of the chi-square distribution by degrees of
+#: freedom (``scipy.stats.chi2.ppf(1 - 0.001, df)``, rounded up).
+CHI2_CRITICAL = {4: 18.468, 9: 27.878}
+
+LARGEST_BELOW_ONE = 1.0 - 2.0**-53
 
 
 def _synthetic_steps(seed):
-    """Steps of every width 1..40, each width with a random ``take``.
+    """Steps of every width 0..12 with every capacity from 1 to ``w + 1``.
 
-    Widths 1..40 each appear twice, once with ``take`` drawn from 1..width
-    and once with ``take`` 1 or ``width``; the rejection-set branch of
-    ``random.sample`` needs ``width > 21`` and ``2 <= take <= 5``, so those
-    combinations are added explicitly.  Every step owns fresh columns, so
-    the completed mask spells out each step's selection, except that steps
-    of width >= 2 swap one of them for one of :data:`HUBS` shared columns.
-    Returns the steps and the column count.
+    Capacity ``w + 1`` (and ``w``) takes every parent; width 0 is a step
+    with no parents.  Every step owns fresh columns, except that steps of
+    width >= 2 swap one of them for one of :data:`HUBS` shared columns.
+    Returns the ``(columns, capacity)`` steps and the column count.
     """
     rng = random.Random(seed)
-    shapes = []
-    for width in range(1, 41):
-        shapes.append((width, rng.randint(1, width)))
-        shapes.append((width, rng.choice((1, width))))
-    shapes += [(width, take) for width in (22, 32, 40) for take in (2, 3, 5)]
+    shapes = [(width, cap) for width in range(13) for cap in range(1, width + 2)]
     rng.shuffle(shapes)
-    steps = []
-    fresh = HUBS
-    for width, take in shapes:
+    steps, fresh = [], HUBS
+    for width, capacity in shapes:
         columns = list(range(fresh, fresh + width))
         fresh += width
         if width >= 2:
             columns[rng.randrange(width)] = rng.randrange(HUBS)
-        steps.append(
-            (np.array(columns), width, take, batch_module._sample_uses_pool(width, take))
-        )
+        steps.append((columns, capacity))
     return steps, fresh
 
 
-def test_synthetic_steps_cover_both_sample_branches():
+def _compiled(steps, num_columns):
+    """The step CSR the replay reads (all of a compiled instance it needs)."""
+    widths = [len(columns) for columns, _ in steps]
+    return SimpleNamespace(
+        step_indptr=np.concatenate([[0], np.cumsum(widths)]).astype(np.int64),
+        step_parents=np.array([c for columns, _ in steps for c in columns], dtype=np.int64),
+        step_capacities=np.array([capacity for _, capacity in steps], dtype=np.int64),
+        num_sets=num_columns,
+    )
+
+
+def _oracle(steps, num_columns, rng):
+    """One trial through the reference ``decide``: the surviving columns."""
+    algorithm = UniformRandomAlgorithm()
+    algorithm.start({}, rng)
+    alive = np.ones(num_columns, dtype=bool)
+    for step, (columns, capacity) in enumerate(steps):
+        kept = algorithm.decide(ElementArrival(f"e{step}", capacity, tuple(columns)))
+        assert len(kept) == min(capacity, len(columns))
+        alive[[c for c in columns if c not in kept]] = False
+    return alive
+
+
+def test_synthetic_steps_cover_every_shape():
     steps, _ = _synthetic_steps(0)
-    assert {width for _, width, _, _ in steps} == set(range(1, 41))
-    assert {use_pool for _, _, take, use_pool in steps if take > 1} == {True, False}
-    assert any(take == width for _, width, take, _ in steps)
+    shapes = {(len(columns), min(cap, len(columns))) for columns, cap in steps}
+    assert (0, 0) in shapes  # no parents
+    assert {(w, t) for w, t in shapes if 1 < t < w}  # t > 1 drawing steps
+    assert {(w, w) for w in range(1, 13)} <= shapes  # t == w
 
 
-@pytest.mark.parametrize("shallow", [False, True])
-@pytest.mark.parametrize("cap", [64, 0, 1, 3])
-@pytest.mark.parametrize("batch", [1, 7, 300])
-def test_block_replay_matches_scalar_oracle(monkeypatch, batch, cap, shallow):
-    monkeypatch.setattr(batch_module, "_MAX_REPLAY_ROUNDS", cap)
-    if shallow:
-        # A one-row trial block makes the look-ahead one word deep, so every
-        # rejected word sends its row through another round.
-        monkeypatch.setattr(rng_bridge, "_TRIAL_BLOCK", 1)
-    oracle = batch_module._replay_uniform_trial_scalar
-    bailed = []
-
-    def counting_oracle(steps, rng):
-        bailed.append(rng)
-        return oracle(steps, rng)
-
-    monkeypatch.setattr(batch_module, "_replay_uniform_trial_scalar", counting_oracle)
-    steps, num_columns = _synthetic_steps(batch + cap)
-    seed = 1000 * batch + cap
-    completed = np.ones((batch, num_columns), dtype=bool)
-    batch_module._replay_uniform_block(steps, seed, completed)
-    for trial in range(batch):
-        expected = np.ones(num_columns, dtype=bool)
-        expected[oracle(steps, random.Random(seed + trial))] = False
+@pytest.mark.parametrize(
+    "trials, step_block, trial_block",
+    [(1, None, None), (7, None, None), (300, None, None), (300, 1, None),
+     (300, 7, None), (9, None, 4), (9, 5, 1), (1, 1, None), (2, None, 1),
+     (7, 2, 3), (64, 3, 16), (130, 64, 64)],
+)
+def test_replay_matches_scalar_decide(monkeypatch, trials, step_block, trial_block):
+    if step_block is not None:
+        monkeypatch.setattr(batch_module, "_UNIFORM_STEP_BLOCK", step_block)
+    if trial_block is not None:
+        monkeypatch.setattr(rng_bridge, "_TRIAL_BLOCK", trial_block)
+    steps, num_columns = _synthetic_steps(trials)
+    seed = 1000 * trials + (step_block or 0)
+    completed = batch_module._run_uniform_random(_compiled(steps, num_columns), trials, seed)
+    for trial in range(trials):
+        expected = _oracle(steps, num_columns, random.Random(seed + trial))
         assert np.array_equal(completed[trial], expected), f"trial {trial}"
         assert 0 < expected.sum() < num_columns
-    # The fallback masks any kernel bug that makes trials bail, so pin how
-    # many did: none at the default cap, every one at cap 0.
-    if cap == 64:
-        assert not bailed
-    if cap == 0:
-        assert len(bailed) == batch
 
 
-def test_shallow_lookahead_runs_the_rescue_rounds(monkeypatch):
-    """The forced one-word look-ahead really does take extra rounds."""
-    monkeypatch.setattr(rng_bridge, "_TRIAL_BLOCK", 1)
-    rounds = []
-    real_ensure = WordStreams._ensure
-
-    def counting_ensure(self, depth):
-        rounds.append(depth)
-        return real_ensure(self, depth)
-
-    monkeypatch.setattr(WordStreams, "_ensure", counting_ensure)
-    streams = WordStreams(seed=4, trials=50)
-    for _ in range(20):
-        streams.randbelow(2)
-    assert set(rounds) == {1}
-    assert len(rounds) > 2 * 20
+@pytest.mark.parametrize("seed", [-7, 0, 2**32 - 3, 2**64 + 12345])
+def test_replay_matches_scalar_decide_across_seed_classes(seed):
+    """Trial ``b`` replays ``random.Random(seed + b)`` for negative seeds
+    (CPython seeds with ``abs``), zero, a trial range straddling the
+    two-word seeding keys at ``2**32``, and a three-word key."""
+    steps, num_columns = _synthetic_steps(abs(seed) % 97)
+    completed = batch_module._run_uniform_random(_compiled(steps, num_columns), 6, seed)
+    for trial in range(6):
+        expected = _oracle(steps, num_columns, random.Random(seed + trial))
+        assert np.array_equal(completed[trial], expected), f"trial {trial}"
 
 
-@pytest.mark.parametrize("bound", [1, 2, 3, 5, 8, 21, 64, 1000, 2**31, 2**32 - 1])
-def test_randbelow_matches_cpython(bound):
-    streams = WordStreams(seed=77, trials=6)
-    references = [random.Random(77 + trial) for trial in range(6)]
-    masks = [None, np.array([True, False, True, True, False, True]), None]
-    for mask in masks:
-        selected = range(6) if mask is None else np.flatnonzero(mask).tolist()
-        drawn = streams.randbelow(bound, mask)
-        assert drawn.tolist() == [references[t]._randbelow(bound) for t in selected]
-    # The streams stay in lockstep with the references afterwards.
-    assert streams.getrandbits(32).tolist() == [r.getrandbits(32) for r in references]
+def _scalar_fisher_yates(values, width):
+    """The positions a partial Fisher–Yates over ``width`` positions keeps,
+    one value per pick (the contract, restated on Python scalars)."""
+    positions = list(range(width))
+    for i, value in enumerate(values):
+        j = i + int(value * (width - i))
+        positions[i], positions[j] = positions[j], positions[i]
+    return positions[: len(values)]
 
 
-def test_randbelow_limit_bails_after_exactly_limit_words():
-    """With ``bound=1`` each word is rejected with probability 1/2; a trial
-    rejecting ``limit`` words in a row returns -1 having consumed them."""
-    limit = 2
-    streams = WordStreams(seed=5, trials=200)
-    drawn = streams.randbelow(1, limit=limit)
-    for trial in range(200):
-        reference = random.Random(5 + trial)
-        words = [reference.getrandbits(1) for _ in range(limit)]
-        if 0 in words:
-            assert drawn[trial] == 0
-            assert streams.positions[trial] == words.index(0) + 1
+@pytest.mark.parametrize(
+    "width, capacity",
+    [(0, 1), (1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (5, 1), (5, 3), (5, 4),
+     (5, 5), (5, 9), (12, 1), (12, 6), (12, 11), (12, 12)],
+)
+def test_decide_reads_a_fixed_number_of_draws(width, capacity):
+    """An arrival reads exactly ``t = min(b(u), w)`` ``random()`` values when
+    ``t < w`` and none when ``t == w``, whatever the values are, so the next
+    arrival's draws start at an offset the instance fixes.  The kept set is
+    the Fisher–Yates prefix of those values."""
+    parents = tuple(f"p{k}" for k in range(width))
+    take = min(capacity, width)
+    draws = take if take < width else 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        algorithm = UniformRandomAlgorithm()
+        algorithm.start({}, rng)
+        kept = algorithm.decide(ElementArrival("u", capacity, parents))
+        mirror = random.Random(seed)
+        values = [mirror.random() for _ in range(draws)]
+        assert rng.getstate() == mirror.getstate()
+        if draws:
+            assert kept == {parents[p] for p in _scalar_fisher_yates(values, width)}
         else:
-            assert drawn[trial] == -1
-            assert streams.positions[trial] == limit
-    assert (drawn == -1).any() and (drawn == 0).any()
-    zero = WordStreams(seed=5, trials=3).randbelow(7, limit=0)
-    assert zero.tolist() == [-1, -1, -1]
+            assert kept == set(parents)
 
 
-def test_randbelow_validates_and_handles_empty_selections():
-    streams = WordStreams(seed=0, trials=2)
-    for bound in (0, 2**32):
-        with pytest.raises(ValueError):
-            streams.randbelow(bound)
-    assert streams.randbelow(5, np.zeros(2, dtype=bool)).shape == (0,)
-    assert streams.positions.tolist() == [0, 0]
-    assert WordStreams(seed=0, trials=0).randbelow(5).shape == (0,)
+@pytest.mark.parametrize(
+    "width, take", [(2, 1), (5, 1), (5, 2), (5, 4), (12, 1), (12, 5), (12, 11)]
+)
+def test_fisher_yates_kernel_matches_the_scalar_shuffle(width, take):
+    """``_fisher_yates_kept`` (its one-draw shortcut and its swap loop) keeps
+    the positions the scalar shuffle keeps, lane by lane, including draws of
+    ``0.0`` and of the largest double below 1."""
+    uniforms = np.random.RandomState(100 * width + take).random_sample((3, take, 40))
+    uniforms[0, :, 0] = 0.0
+    uniforms[0, :, 1] = LARGEST_BELOW_ONE
+    kept = batch_module._fisher_yates_kept(uniforms, width)
+    assert kept.shape == (3, width, 40)
+    for step in range(3):
+        for lane in range(40):
+            expected = np.zeros(width, dtype=bool)
+            expected[_scalar_fisher_yates(uniforms[step, :, lane].tolist(), width)] = True
+            assert np.array_equal(kept[step, :, lane], expected), (step, lane)
 
 
-@pytest.mark.parametrize("chunk", [1, 3])
-def test_loser_drop_chunking_is_invisible(monkeypatch, chunk):
-    """The chunk size only groups the drop: results are array-equal."""
+@pytest.mark.parametrize("step_block", [1, 7, 512])
+def test_plan_lays_out_each_drawing_step_once_in_stream_order(monkeypatch, step_block):
+    """The plan holds every step with ``t < w`` once, in step order: each
+    block's draw rows are ``0 .. draws - 1`` with a step's ``t`` rows
+    consecutive, and no block is empty."""
+    monkeypatch.setattr(batch_module, "_UNIFORM_STEP_BLOCK", step_block)
+    steps, num_columns = _synthetic_steps(step_block)
+    plan = batch_module._uniform_random_plan(_compiled(steps, num_columns))
+    drawing = [(columns, min(cap, len(columns))) for columns, cap in steps
+               if min(cap, len(columns)) < len(columns)]
+    laid_out = []
+    for draws, groups in plan:
+        assert draws > 0
+        rows = np.concatenate([group_rows.ravel() for group_rows, _ in groups])
+        assert sorted(rows.tolist()) == list(range(draws))
+        block = []
+        for group_rows, columns in groups:
+            assert (np.diff(group_rows, axis=1) == 1).all()
+            block += [(int(r[0]), c.tolist(), len(r)) for r, c in zip(group_rows, columns)]
+        laid_out += [(columns, take) for _, columns, take in sorted(block)]
+    assert laid_out == drawing
+    if step_block == 1:  # every drawing step has w >= 2 parents
+        assert len(plan) == len(drawing)
+
+
+def test_steps_that_keep_every_parent_read_no_draws(monkeypatch):
+    """With ``t == w`` at every step there is nothing to draw: the plan is
+    empty, no stream is read, and every set survives."""
+    steps = [([0, 1], 2), ([2], 1), ([1, 3, 4], 5), ([], 1)]
+    compiled = _compiled(steps, 5)
+    assert batch_module._uniform_random_plan(compiled) == []
+
+    def no_reads(self, count):  # pragma: no cover - guard
+        raise AssertionError("a step that keeps every parent read a draw")
+
+    monkeypatch.setattr(WordStreams, "random", no_reads)
+    assert batch_module._run_uniform_random(compiled, 4, 0).all()
+
+
+class _ConstantRandom:
+    """An RNG whose every ``random()`` value is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+@pytest.mark.parametrize("value", [0.0, LARGEST_BELOW_ONE])
+def test_draws_at_the_ends_of_the_unit_interval(monkeypatch, value):
+    """``int(u * n) < n`` for every double ``u < 1`` and ``n < 2**53``, so
+    even the largest draw picks a valid position (the last one left)."""
+    assert all(int(value * n) == (n - 1 if value else 0) for n in range(1, 13))
+    monkeypatch.setattr(
+        WordStreams, "random", lambda self, count: np.full((self.trials, count), value)
+    )
+    steps, num_columns = _synthetic_steps(3)
+    completed = batch_module._run_uniform_random(_compiled(steps, num_columns), 5, 0)
+    expected = _oracle(steps, num_columns, _ConstantRandom(value))
+    assert (completed == expected).all()
+
+
+def test_block_boundaries_are_invisible_on_an_instance_and_a_trace(monkeypatch):
     instance = random_online_instance(40, 30, (2, 4), random.Random(5))
     trace = compile_trace(PoissonBurstGenerator().generate(300, random.Random(3)))
     algorithm = UniformRandomAlgorithm()
@@ -179,12 +264,84 @@ def test_loser_drop_chunking_is_invisible(monkeypatch, chunk):
         simulate_batch(instance, algorithm, trials=9, seed=17),
         simulate_trace_batch(trace, algorithm, trials=9, seed=17),
     )
-    monkeypatch.setattr(batch_module, "_LOSER_DROP_CHUNK", chunk)
-    chunked = (
+    monkeypatch.setattr(batch_module, "_UNIFORM_STEP_BLOCK", 3)
+    monkeypatch.setattr(rng_bridge, "_TRIAL_BLOCK", 4)
+    assert len(batch_module._uniform_random_plan(trace)) > 1
+    blocked = (
         simulate_batch(instance, algorithm, trials=9, seed=17),
         simulate_trace_batch(trace, algorithm, trials=9, seed=17),
     )
-    steps = batch_module._uniform_random_steps(trace)
-    assert len(batch_module._loser_drop_chunks(steps)) > 1
-    for whole, split in zip(default, chunked):
+    for whole, split in zip(default, blocked):
         assert whole.equals(split)
+
+
+def test_frozen_contract_pin():
+    """The fixed-draw contract's completed sets, frozen.  They move only if
+    the contract (or the generator under it) does, and either must be a
+    deliberate change."""
+    builder = InstanceBuilder(name="fixed-draw-pin")
+    for parents, capacity in [("AB", 1), ("CD", 1), ("EFG", 2), ("AC", 1),
+                              ("GH", 2), ("BDFH", 1), ("EH", 1)]:
+        builder.add_element(list(parents), capacity=capacity)
+    instance = builder.build()
+    batch = simulate_batch(instance, UniformRandomAlgorithm(), trials=3, seed=2024)
+    pinned = [batch.completed_sets(trial) for trial in range(3)]
+    assert pinned == [{"A", "E", "G"}, {"H"}, {"A", "G"}]
+    reference = simulate_many(instance, UniformRandomAlgorithm(), trials=3, seed=2024)
+    assert pinned == [result.completed_sets for result in reference]
+
+
+def _chi_square(counts):
+    expected = counts.sum() / counts.size
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+def test_per_arrival_choice_frequencies_are_uniform_subsets():
+    """At 10**5 trials every ``t``-subset of a step's parents is chosen with
+    frequency ``1 / C(w, t)``: one ``t == 1`` step (5 parents) and one
+    ``t == 2`` step (5 parents) whose draws follow it in the stream.  Each
+    set has one element, so the completed sets are the choices."""
+    builder = InstanceBuilder(name="choices")
+    builder.add_element(["A", "B", "C", "D", "E"])
+    builder.add_element(["F", "G", "H", "I", "J"], capacity=2)
+    batch = simulate_batch(builder.build(), UniformRandomAlgorithm(), trials=10**5, seed=8)
+    completed = batch.completed
+    single = completed[:, :5]
+    assert (single.sum(axis=1) == 1).all()
+    counts = np.bincount(single.argmax(axis=1), minlength=5)
+    assert _chi_square(counts) < CHI2_CRITICAL[4], counts
+    double = completed[:, 5:]
+    assert (double.sum(axis=1) == 2).all()
+    codes = double.astype(np.int64) @ (1 << np.arange(5))  # one per 2-subset
+    subsets, counts = np.unique(codes, return_counts=True)
+    assert subsets.size == 10
+    assert _chi_square(counts) < CHI2_CRITICAL[9], counts
+
+
+def _sample_policy_benefits(instance, trials, seed):
+    """The earlier uniform-random policy: one ``random.sample`` per arrival."""
+    weights = {set_id: instance.system.weight(set_id) for set_id in instance.system.set_ids}
+    arrivals = list(instance.arrivals())
+    benefits = []
+    for trial in range(trials):
+        rng = random.Random(seed + trial)
+        alive = dict.fromkeys(weights, True)
+        for arrival in arrivals:
+            take = min(arrival.capacity, len(arrival.parents))
+            kept = set(rng.sample(list(arrival.parents), take)) if take else set()
+            for parent in arrival.parents:
+                if parent not in kept:
+                    alive[parent] = False
+        benefits.append(sum(weights[s] for s, live in alive.items() if live))
+    return benefits
+
+
+def test_benefits_match_the_sample_policy():
+    """The fixed-draw contract is the same policy as ``random.sample``: a
+    two-sample KS on per-trial benefits does not reject at :data:`ALPHA`."""
+    instance = random_online_instance(30, 40, (2, 4), random.Random(7))
+    fixed_draw = simulate_batch(instance, UniformRandomAlgorithm(), trials=4000, seed=0)
+    sample = _sample_policy_benefits(instance, 4000, seed=10**6)
+    assert 0 < np.mean(sample) < sum(instance.system.weight(s) for s in instance.system.set_ids)
+    result = ks_two_sample(fixed_draw.benefits, sample)
+    assert not result.rejects(ALPHA), result

@@ -168,6 +168,44 @@ class TestLpRelaxation:
         system = SetSystem(sets={"E": [], "S": ["u"]}, weights={"E": 2.0, "S": 1.0})
         assert dual_feasible_bound(system).value >= 3.0 - 1e-9
 
+    @pytest.mark.parametrize(
+        "num_elements, capacity_range", [(500, (1, 1)), (300, (1, 1)), (60, (1, 3))]
+    )
+    def test_csr_build_is_bit_equal_to_an_item_by_item_build(
+        self, num_elements, capacity_range
+    ):
+        """The constraint matrix is built from CSR arrays; HiGHS must get the
+        same matrix, and so give the same bits, as from a ``lil_matrix``
+        filled item by item (the 200-set sweep shape, and variable
+        capacities)."""
+        pytest.importorskip("scipy")
+        from scipy.optimize import linprog
+        from scipy.sparse import lil_matrix
+
+        system = random_online_instance(
+            200, num_elements, (2, 5), random.Random(num_elements),
+            weight_range=(1.0, 6.0), capacity_range=capacity_range,
+        ).system
+        set_ids, element_ids = list(system.set_ids), list(system.element_ids)
+        column = {set_id: index for index, set_id in enumerate(set_ids)}
+        constraint = lil_matrix((len(element_ids), len(set_ids)))
+        for row, element in enumerate(element_ids):
+            for set_id in system.parents(element):
+                constraint[row, column[set_id]] = 1.0
+        expected = linprog(
+            [-system.weight(set_id) for set_id in set_ids],
+            A_ub=constraint.tocsr(),
+            b_ub=[float(system.capacity(element)) for element in element_ids],
+            bounds=[(0.0, 1.0)] * len(set_ids),
+            method="highs",
+        )
+        bound = lp_relaxation_bound(system)
+        assert bound.method == "scipy-highs"
+        assert bound.value == -float(expected.fun)
+        assert bound.fractional_solution == {
+            set_id: float(expected.x[column[set_id]]) for set_id in set_ids
+        }
+
     def test_pure_python_fallback_available(self, tiny_system):
         bound = lp_relaxation_bound(tiny_system, prefer_scipy=False)
         assert bound.method == "dual-feasible"

@@ -82,7 +82,7 @@ def test_streaming_frozen_values():
     assert sorted(map(str, batch.completed_sets(0))) == ["w0.m2", "w1.m0", "w2.m2"]
 
     uniform = simulate_trace_batch(trace, "uniform-random", trials=4, seed=2026)
-    assert [float(b) for b in uniform.benefits] == [2.0, 2.0, 2.0, 0.0]
+    assert [float(b) for b in uniform.benefits] == [2.0, 2.0, 0.0, 4.0]  # the fixed-draw contract
 
     greedy = simulate_trace_batch(trace, GreedyWeightAlgorithm(), trials=2, seed=0)
     assert [float(b) for b in greedy.benefits] == [6.0, 6.0]

@@ -353,6 +353,46 @@ class TestAlgorithmIdentity:
         instance = random_online_instance(6, 8, (2, 3), random.Random(0))
         assert unit_key(instance, 1, [algorithm], 5, "auto", 60) is None
 
+    def test_fixed_draw_contract_moves_only_uniform_random_keys(self):
+        """uniform-random's draw contract changed its numbers, so its tag
+        moved; every other identity and every unit without it must still be
+        byte-equal to the keys written under the ``random.sample`` contract
+        (the literals below), or warm stores would miss for no reason."""
+        from repro.algorithms import UnweightedPriorityAlgorithm
+
+        sample_contract = "repro.algorithms.random_assign.UniformRandomAlgorithm|uniform-random"
+        assert algorithm_identity(UniformRandomAlgorithm()) == sample_contract + "|fixed-draw"
+        assert algorithm_identity(RandPrAlgorithm()) == (
+            "repro.algorithms.randpr.RandPrAlgorithm|randPr|tie_break_by_id=True"
+        )
+        assert algorithm_identity(UnweightedPriorityAlgorithm()) == (
+            "repro.algorithms.random_assign.UnweightedPriorityAlgorithm|uniform-priority"
+        )
+        assert algorithm_identity(GreedyWeightAlgorithm()) == (
+            "repro.algorithms.greedy.GreedyWeightAlgorithm|greedy-weight"
+        )
+        instance = random_online_instance(12, 10, (2, 3), random.Random(1))
+        units = {
+            "4106f51b1e5cb56646d139bc4a2288a49cc894362b6f6018601ed27ef7bae85e": [
+                RandPrAlgorithm()
+            ],
+            "b76b1d04192a755f23039b524f560f6dbb558022e6f0270ba3a9bcc3e9606718": [
+                UnweightedPriorityAlgorithm(),
+                GreedyWeightAlgorithm(),
+            ],
+            "3c47cf4016342e8a8f4e1854aabc7fa501c29d42d58ec81b8263ada2d0950d24": [
+                RandPrAlgorithm(),
+                UniformRandomAlgorithm(),
+            ],
+            "57f24e4eb6db1715de5ab8c3a81c0e1941695794c6bc80d072d448a40d98cfaf": [
+                UniformRandomAlgorithm()
+            ],
+        }
+        for old_key, algorithms in units.items():
+            new_key = unit_key(instance, 5, algorithms, 40, "auto", 18)
+            moved = any(isinstance(a, UniformRandomAlgorithm) for a in algorithms)
+            assert (new_key != old_key) == moved, [a.name for a in algorithms]
+
     def test_unit_key_sensitive_to_each_input(self):
         instance = random_online_instance(6, 8, (2, 3), random.Random(0))
         other = random_online_instance(6, 8, (2, 3), random.Random(1))
