@@ -55,7 +55,7 @@ from repro.engine.specs import (
     zero_draw_trials,
 )
 
-__all__ = ["BatchResult", "simulate_batch", "batch_from_results"]
+__all__ = ["BatchResult", "simulate_batch", "batch_from_results", "sum_benefits"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,21 +459,34 @@ def _run_uniform_random(
     randomness at every arrival, but a fixed number of ``random()`` values
     (see :class:`~repro.algorithms.random_assign.UniformRandomAlgorithm`),
     so every arrival's draws sit at a stream offset the instance fixes.
-    Each trial block reads them from lockstep
-    :meth:`~repro.engine.rng.WordStreams.random` chunks, one block of steps
+    Each trial block reads them one block of steps
     (:func:`_uniform_random_plan`) at a time, replays every group of equal
     ``(w, t)`` steps at once (:func:`_fisher_yates_kept`), and clears the
     parents not kept; a set survives iff it is kept at every arrival.
+
+    The draws come from the cached draw table when an earlier kind at the
+    same ``(seed, trials)`` — randPr or uniform-priority in a sweep unit —
+    left one that covers them (:func:`~repro.engine.rng.cached_uniform_matrix`;
+    this replay never creates one), and from lockstep
+    :meth:`~repro.engine.rng.WordStreams.random` chunks otherwise.
     """
     plan = _uniform_random_plan(compiled)
     completed = np.ones((trials, compiled.num_sets), dtype=bool)
+    if not plan:
+        return completed
+    table = rng_bridge.cached_uniform_matrix(seed, trials, sum(draws for draws, _ in plan))
     block_trials = rng_bridge._TRIAL_BLOCK
     for start in range(0, trials, block_trials):
         lanes = min(block_trials, trials - start)
-        streams = rng_bridge.WordStreams(seed + start, lanes)
+        streams = rng_bridge.WordStreams(seed + start, lanes) if table is None else None
         survived = np.ones((compiled.num_sets, lanes), dtype=bool)
+        offset = 0
         for draws, groups in plan:
-            uniforms = streams.random(draws).T  # (draws, lanes), C-contiguous
+            if streams is None:
+                uniforms = table[start : start + lanes, offset : offset + draws].T
+            else:
+                uniforms = streams.random(draws).T  # (draws, lanes)
+            offset += draws
             for rows, columns in groups:
                 kept = _fisher_yates_kept(uniforms[rows], columns.shape[1])
                 _and_rows(survived, columns.ravel(), kept.reshape(-1, lanes))
@@ -605,6 +618,47 @@ def simulate_batch(
     return _batch_result(spec, compiled, completed, trials, seed)
 
 
+#: Whether builtin ``sum`` adds floats sequentially, left to right (CPython
+#: before 3.12); later interpreters compensate the rounding error, which this
+#: probe's exact answer 2.0 shows and a sequential sum's 0.0 does not.
+_SEQUENTIAL_SUM = sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+
+#: :func:`sum_benefits` works through row blocks of at most this many cells
+#: (a 1 MiB float64 scratch block, which keeps the trace engine's peak flat).
+_SUM_BLOCK_CELLS = 1 << 17
+
+
+def sum_benefits(weights: np.ndarray, completed: np.ndarray) -> np.ndarray:
+    """Per row of the ``(rows, m)`` mask ``completed``, its weights' total.
+
+    Bit-equal to the reference engine's ``sum(weights[row].tolist())``.
+    Where builtin ``sum`` is sequential (:data:`_SEQUENTIAL_SUM`), one
+    ``np.add.accumulate`` along the set axis of ``np.where(row, weights,
+    0.0)`` reproduces it: adding ``0.0`` leaves a partial sum unchanged (up
+    to the sign of a zero, which the final ``+ 0.0`` settles as ``sum``'s
+    ``0.0`` start does), and accumulation, unlike ``np.sum``, never pairs.
+    Elsewhere each row keeps its own builtin ``sum``.
+
+    >>> sum_benefits(np.array([1.5, 2.0, 0.25]), np.array([[True, False, True],
+    ...                                                   [False, False, False]])).tolist()
+    [1.75, 0.0]
+    """
+    rows, m = completed.shape
+    if not _SEQUENTIAL_SUM:
+        return np.fromiter(
+            (sum(weights[row].tolist()) for row in completed), dtype=np.float64, count=rows
+        )
+    totals = np.zeros(rows)
+    if not m:
+        return totals
+    step = max(1, _SUM_BLOCK_CELLS // m)
+    for start in range(0, rows, step):
+        chosen = np.where(completed[start : start + step], weights, 0.0)
+        np.add.accumulate(chosen, axis=1, out=chosen)
+        np.add(chosen[:, -1], 0.0, out=totals[start : start + step])
+    return totals
+
+
 def _batch_result(
     spec: AlgorithmSpec,
     compiled: CompiledInstance,
@@ -616,17 +670,12 @@ def _batch_result(
     """Wrap a replayed completed mask as a :class:`BatchResult`.
 
     Unless ``benefits`` is given (the fast engine's float64 matmul), the
-    weights are summed sequentially in column order — the exact float
-    arithmetic of the reference engine's ``sum(...)`` over completed sets
-    (``tolist`` yields Python floats; ``sum`` adds them left to right).  A
-    one-row mask (a deterministic algorithm) stands for every trial.
+    weights are summed by :func:`sum_benefits`, with the float arithmetic of
+    the reference engine's ``sum(...)`` over completed sets.  A one-row mask
+    (a deterministic algorithm) stands for every trial.
     """
     if benefits is None:
-        benefits = np.fromiter(
-            (sum(compiled.weights[row].tolist()) for row in completed),
-            dtype=np.float64,
-            count=completed.shape[0],
-        )
+        benefits = sum_benefits(compiled.weights, completed)
     counts = completed.sum(axis=1, dtype=np.int64)
     if completed.shape[0] == 1 and trials > 1:
         completed = np.repeat(completed, trials, axis=0)

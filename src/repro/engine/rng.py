@@ -50,7 +50,7 @@ import math
 import random
 from collections import OrderedDict
 from itertools import repeat
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +58,7 @@ __all__ = [
     "transplant_rng",
     "state_matrix",
     "uniform_matrix",
+    "cached_uniform_matrix",
     "WordStreams",
     "getrandbits64",
     "exact_pow",
@@ -136,18 +137,18 @@ def _seed_digits(seed: int) -> Tuple[int, ...]:
     return tuple(digits)
 
 
-def _seed_group(keys: Sequence[Tuple[int, ...]]) -> np.ndarray:
+def _seed_group(key_matrix: np.ndarray) -> np.ndarray:
     """``init_by_array`` for same-length keys, vectorized across the batch.
 
-    Returns the ``(MT_N, len(keys))`` state matrix (trials are *columns* so
-    each scalar mixing step touches one contiguous row).  This is a literal
-    transcription of CPython's ``init_by_array``: the loop over the 1247
-    mixing steps stays in Python, but each step is one vectorized update of
-    all trials, so the per-trial cost is a handful of C operations.
+    ``key_matrix`` is the ``(key_length, batch)`` uint32 matrix of seeding
+    keys, one key per column.  Returns the ``(MT_N, batch)`` state matrix
+    (trials are *columns* so each scalar mixing step touches one contiguous
+    row).  This is a literal transcription of CPython's ``init_by_array``:
+    the loop over the 1247 mixing steps stays in Python, but each step is
+    one vectorized update of all trials, so the per-trial cost is a handful
+    of C operations.
     """
-    batch = len(keys)
-    key_length = len(keys[0])
-    key_matrix = np.array(keys, dtype=np.uint32).T  # (key_length, batch)
+    key_length, batch = key_matrix.shape
     # init_key[j] + j, wrapped to uint32, hoisted out of the mixing loop.
     key_plus_j = [key_matrix[j] + np.uint32(j) for j in range(key_length)]
 
@@ -190,12 +191,26 @@ def _seed_group(keys: Sequence[Tuple[int, ...]]) -> np.ndarray:
     return mt
 
 
+#: Seeds strictly inside ``(-2**32, 2**32)`` have one-digit seeding keys.
+_ONE_DIGIT_BOUND = 1 << 32
+
+
 def _state_matrix_T(seeds: Sequence[int]) -> np.ndarray:
-    """``(MT_N, len(seeds))`` state matrix, trials as columns (internal layout)."""
+    """``(MT_N, len(seeds))`` state matrix, trials as columns (internal layout).
+
+    A ``range`` of seeds inside ``(-2**32, 2**32)`` — every batch's trial
+    seeds, in practice — has one-digit keys, so its key row is one numpy
+    ``abs`` over the range; any other seeds go through per-seed digits.
+    """
+    if not seeds:
+        return np.empty((MT_N, 0), dtype=np.uint32)
+    if isinstance(seeds, range) and max(abs(seeds[0]), abs(seeds[-1])) < _ONE_DIGIT_BOUND:
+        keys = np.abs(np.arange(seeds.start, seeds.stop, seeds.step, dtype=np.int64))
+        return _seed_group(keys.astype(np.uint32)[np.newaxis])
     digit_keys = [_seed_digits(seed) for seed in seeds]
     lengths = {len(key) for key in digit_keys}
     if len(lengths) == 1:
-        return _seed_group(digit_keys)
+        return _seed_group(np.array(digit_keys, dtype=np.uint32).T)
     # Mixed digit counts (a trial range straddling a 2**32 boundary): seed
     # each same-length group vectorized, then scatter the columns back.
     mt = np.empty((MT_N, len(seeds)), dtype=np.uint32)
@@ -203,7 +218,8 @@ def _state_matrix_T(seeds: Sequence[int]) -> np.ndarray:
     for index, key in enumerate(digit_keys):
         groups.setdefault(len(key), []).append(index)
     for _length, indices in groups.items():
-        mt[:, indices] = _seed_group([digit_keys[index] for index in indices])
+        group_keys = [digit_keys[index] for index in indices]
+        mt[:, indices] = _seed_group(np.array(group_keys, dtype=np.uint32).T)
     return mt
 
 
@@ -222,9 +238,7 @@ def state_matrix(seeds: Iterable[int]) -> np.ndarray:
     >>> tuple(int(w) for w in state_matrix([2024])[0]) == reference
     True
     """
-    seed_list = [int(seed) for seed in seeds]
-    if not seed_list:
-        return np.empty((0, MT_N), dtype=np.uint32)
+    seed_list = seeds if isinstance(seeds, range) else [int(seed) for seed in seeds]
     return np.ascontiguousarray(_state_matrix_T(seed_list).T)
 
 
@@ -286,7 +300,7 @@ class WordStreams:
         if trials < 0:
             raise ValueError(f"trials must be non-negative, got {trials}")
         self.trials = trials
-        self._mt = _state_matrix_T([seed + b for b in range(trials)])
+        self._mt = _state_matrix_T(range(int(seed), int(seed) + trials))
         # Rows of the current twist block already handed out; a freshly
         # seeded generator (CPython's position 624) twists on its first word.
         self._block_used = MT_N
@@ -351,15 +365,21 @@ def _res53(words: np.ndarray, out: np.ndarray) -> np.ndarray:
 # The cached uniform table
 # ----------------------------------------------------------------------
 
-#: LRU cache of finished uniform matrices.  A sweep measures several
-#: algorithms on one instance with one (seed, trials) pair — randPr and the
-#: uniform-priority ablation then share a single draw table instead of
-#: re-seeding 2 x trials generators.
-_UNIFORM_CACHE: "OrderedDict[Tuple[int, int, int], np.ndarray]" = OrderedDict()
+#: LRU cache of finished uniform matrices, keyed by ``(seed, trials)``.  A
+#: sweep measures several algorithms on one instance with one (seed, trials)
+#: pair — randPr, the uniform-priority ablation and the uniform-random
+#: baseline then read a single draw table instead of re-seeding and
+#: re-twisting ``trials`` generators per kind.  An entry holds every draw of
+#: the twist blocks its miss generated, so it serves any narrower request
+#: at its key as a column prefix.
+_UNIFORM_CACHE: "OrderedDict[Tuple[int, int], np.ndarray]" = OrderedDict()
 _UNIFORM_CACHE_MAX_ENTRIES = 4
 _UNIFORM_CACHE_MAX_BYTES = 32 << 20
 _uniform_cache_hits = 0
 _uniform_cache_misses = 0
+
+#: ``random()`` values per twist block (each one pairs two of its words).
+_DRAWS_PER_BLOCK = MT_N // 2
 
 
 def clear_uniform_cache() -> None:
@@ -387,14 +407,48 @@ def uniform_cache_stats() -> Dict[str, int]:
     }
 
 
+def cached_uniform_matrix(seed: int, trials: int, draws: int) -> Optional[np.ndarray]:
+    """:func:`uniform_matrix`'s table if the cache already covers it, else ``None``.
+
+    A lookup: a hit is counted and refreshes the entry's LRU position, but
+    nothing is ever generated or cached (so no miss is counted).
+    uniform-random's replay reads its fixed per-arrival draws from here when
+    an earlier kind of the same sweep unit drew the table, and streams them
+    otherwise, which keeps its own memory bounded.
+
+    >>> clear_uniform_cache()
+    >>> cached_uniform_matrix(3, trials=2, draws=4) is None
+    True
+    >>> _ = uniform_matrix(3, trials=2, draws=4)  # pairs its whole twist block
+    >>> cached_uniform_matrix(3, trials=2, draws=312).shape
+    (2, 312)
+    >>> cached_uniform_matrix(3, trials=2, draws=313) is None
+    True
+    """
+    global _uniform_cache_hits
+    key = (int(seed), int(trials))
+    cached = _UNIFORM_CACHE.get(key)
+    if cached is None or cached.shape[1] < draws:
+        return None
+    _uniform_cache_hits += 1
+    _UNIFORM_CACHE.move_to_end(key)
+    return cached[:, :draws]  # F-ordered, so the prefix is F-contiguous
+
+
 def uniform_matrix(seed: int, trials: int, draws: int) -> np.ndarray:
     """The exact ``(trials, draws)`` table of per-trial ``random()`` values.
 
     Entry ``[b, k]`` is bit-equal to the ``k``-th ``random.Random(seed + b)
     .random()`` call — the batch engine's seeding convention — produced
     entirely by vectorized numpy operations (see the module docstring for the
-    pipeline).  The returned array is a **read-only view of a cached table**;
-    callers that need to mutate it must copy.
+    pipeline).  The returned array is a **read-only, F-contiguous view of a
+    cached table**; callers that need to mutate it must copy.
+
+    A miss whose table fits the cache's byte cap pairs every word of the
+    twist blocks it generates — ``draws`` rounded up to a multiple of
+    :data:`_DRAWS_PER_BLOCK`, clamped to the cap — and caches that wider
+    table, so any request at the same ``(seed, trials)`` for as many draws
+    or fewer is a hit.  A wider request regenerates and replaces the entry.
 
     >>> import random
     >>> table = uniform_matrix(123, trials=3, draws=5)
@@ -406,33 +460,37 @@ def uniform_matrix(seed: int, trials: int, draws: int) -> np.ndarray:
     """
     if trials < 0 or draws < 0:
         raise ValueError(f"trials and draws must be non-negative, got {trials}, {draws}")
-    global _uniform_cache_hits, _uniform_cache_misses
-    key = (int(seed), int(trials), int(draws))
-    cached = _UNIFORM_CACHE.get(key)
+    global _uniform_cache_misses
+    cached = cached_uniform_matrix(seed, trials, draws)
     if cached is not None:
-        _uniform_cache_hits += 1
-        _UNIFORM_CACHE.move_to_end(key)
         return cached
     _uniform_cache_misses += 1
 
+    cacheable = 0 < trials * draws * 8 <= _UNIFORM_CACHE_MAX_BYTES
+    width = draws
+    if cacheable:
+        whole_blocks = -(-draws // _DRAWS_PER_BLOCK) * _DRAWS_PER_BLOCK
+        width = min(whole_blocks, _UNIFORM_CACHE_MAX_BYTES // (8 * trials))
     # Fortran order: the generator pipeline is (draws, trials)-major, so an
     # F-ordered table makes every transpose below a zero-copy view.  Callers
     # only ever index and compare, which is layout-agnostic.
-    out = np.empty((trials, draws), dtype=np.float64, order="F")
+    out = np.empty((trials, width), dtype=np.float64, order="F")
     for start in range(0, trials, _TRIAL_BLOCK):
         stop = min(start + _TRIAL_BLOCK, trials)
         # The stream (state and scratch matrices) is freed before the
         # pairing allocates its own scratch.
         words = WordStreams(seed + start, stop - start)._generate(
-            np.empty((2 * draws, stop - start), dtype=np.uint32)
+            np.empty((2 * width, stop - start), dtype=np.uint32)
         )
-        _res53(words, out[start:stop].T)  # a (draws, block) C-contiguous view
+        _res53(words, out[start:stop].T)  # a (width, block) C-contiguous view
     out.setflags(write=False)
-    if trials and draws and out.nbytes <= _UNIFORM_CACHE_MAX_BYTES:
+    if cacheable:
+        key = (int(seed), int(trials))
         _UNIFORM_CACHE[key] = out
+        _UNIFORM_CACHE.move_to_end(key)  # a wider table replacing a narrower one
         while len(_UNIFORM_CACHE) > _UNIFORM_CACHE_MAX_ENTRIES:
             _UNIFORM_CACHE.popitem(last=False)
-    return out
+    return out[:, :draws]
 
 
 def getrandbits64(seed: int, trials: int) -> List[int]:

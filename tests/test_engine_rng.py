@@ -92,6 +92,50 @@ def test_state_matrix_empty():
     assert state_matrix([]).shape == (0, rng_bridge.MT_N)
 
 
+def _getstate_matrix(seeds):
+    return np.array([random.Random(seed).getstate()[1][:-1] for seed in seeds], np.uint32)
+
+
+def _counting(monkeypatch, name):
+    """Wrap ``rng_bridge.<name>`` so its calls are counted."""
+    calls = []
+    original = getattr(rng_bridge, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rng_bridge, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "seeds", [range(0, 4097), range(-5, 5), range(2**32 - 3, 2**32)], ids=str
+)
+def test_state_matrix_of_a_one_digit_seed_range_takes_one_key_row(monkeypatch, seeds):
+    """A seed range inside ``(-2**32, 2**32)`` builds its key row in numpy:
+    no per-seed digits, one seeding group."""
+    digits = _counting(monkeypatch, "_seed_digits")
+    groups = _counting(monkeypatch, "_seed_group")
+    matrix = state_matrix(seeds)
+    assert not digits and len(groups) == 1
+    assert np.array_equal(matrix, _getstate_matrix(seeds))
+
+
+def test_state_matrix_of_a_range_straddling_2_32_takes_the_mixed_path(monkeypatch):
+    seeds = range(2**32 - 2, 2**32 + 2)
+    digits = _counting(monkeypatch, "_seed_digits")
+    groups = _counting(monkeypatch, "_seed_group")
+    matrix = state_matrix(seeds)
+    assert len(digits) == len(seeds) and len(groups) == 2
+    assert np.array_equal(matrix, _getstate_matrix(seeds))
+
+
+def test_word_streams_of_no_trials():
+    streams = WordStreams(2**40, 0)
+    assert streams.random(3).shape == (0, 3)
+
+
 # ----------------------------------------------------------------------
 # uniform_matrix: the vectorized draw table
 # ----------------------------------------------------------------------
@@ -123,7 +167,7 @@ def test_uniform_matrix_is_read_only_and_cached():
     with pytest.raises((ValueError, RuntimeError)):
         first[0, 0] = 0.5
     second = uniform_matrix(5, trials=4, draws=6)
-    assert second is first  # cache hit returns the same object
+    assert np.shares_memory(second, first)  # a hit views the cached table
     stats = uniform_cache_stats()
     assert stats["hits"] == 1 and stats["misses"] == 1 and stats["entries"] == 1
     clear_uniform_cache()

@@ -218,6 +218,16 @@ def test_plan_lays_out_each_drawing_step_once_in_stream_order(monkeypatch, step_
         assert len(plan) == len(drawing)
 
 
+@pytest.fixture(autouse=True)
+def _no_cached_draw_table():
+    """Start every test with an empty draw-table cache: a table an earlier
+    test left at the same ``(seed, trials)`` would serve the replay's draws
+    and bypass a patched ``WordStreams.random``."""
+    rng_bridge.clear_uniform_cache()
+    yield
+    rng_bridge.clear_uniform_cache()
+
+
 def test_steps_that_keep_every_parent_read_no_draws(monkeypatch):
     """With ``t == w`` at every step there is nothing to draw: the plan is
     empty, no stream is read, and every set survives."""
@@ -247,11 +257,16 @@ def test_draws_at_the_ends_of_the_unit_interval(monkeypatch, value):
     """``int(u * n) < n`` for every double ``u < 1`` and ``n < 2**53``, so
     even the largest draw picks a valid position (the last one left)."""
     assert all(int(value * n) == (n - 1 if value else 0) for n in range(1, 13))
-    monkeypatch.setattr(
-        WordStreams, "random", lambda self, count: np.full((self.trials, count), value)
-    )
+    reads = []
+
+    def constant(self, count):
+        reads.append(count)
+        return np.full((self.trials, count), value)
+
+    monkeypatch.setattr(WordStreams, "random", constant)
     steps, num_columns = _synthetic_steps(3)
     completed = batch_module._run_uniform_random(_compiled(steps, num_columns), 5, 0)
+    assert reads  # the draws came from the patched stream
     expected = _oracle(steps, num_columns, _ConstantRandom(value))
     assert (completed == expected).all()
 
