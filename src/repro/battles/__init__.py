@@ -32,7 +32,6 @@ from repro.battles.battle import (
     FrontierPoint,
     battle_key,
     battle_ratio,
-    resolve_battle_store,
     round_seed,
 )
 from repro.battles.escalators import (
@@ -83,7 +82,6 @@ __all__ = [
     "compare_frontiers",
     "default_escalator_suite",
     "load_frontiers",
-    "resolve_battle_store",
     "round_seed",
     "run_match",
     "run_smoke_match",

@@ -41,6 +41,7 @@ from repro.experiments.store import (
     NONEXACT_ENGINES,
     STORE_FORMAT_VERSION,
     algorithm_identity,
+    resolve_store,
 )
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "FrontierPoint",
     "battle_key",
     "battle_ratio",
-    "resolve_battle_store",
     "round_seed",
 ]
 
@@ -376,35 +376,6 @@ def battle_key(
     return digest.hexdigest()
 
 
-def resolve_battle_store(store):
-    """Resolve the harness's store parameter to a live store (or ``None``).
-
-    The same convention :func:`~repro.lowerbounds.randomized_construction.stored_lemma9_instance`
-    and ``run_sweep`` use: ``None`` means the ``OSP_STORE``-named default (if
-    any), ``False`` forces the store off, a string or path opens (or reuses)
-    the per-process store for that file, and a
-    :class:`~repro.experiments.store.SolutionStore` is used as-is.
-
-    >>> import os, tempfile
-    >>> resolve_battle_store(False) is None
-    True
-    >>> path = os.path.join(tempfile.mkdtemp(), "battles.sqlite")
-    >>> resolve_battle_store(path).path == os.path.abspath(path)
-    True
-    """
-    import os
-
-    from repro.experiments.store import active_store, store_for_path
-
-    if store is None:
-        return active_store()
-    if store is False:
-        return None
-    if isinstance(store, (str, os.PathLike)):
-        return store_for_path(str(store))
-    return store
-
-
 class Battle:
     """One algorithm against one escalator, played to the frontier.
 
@@ -412,7 +383,8 @@ class Battle:
     per round (deterministic algorithms collapse to one), ``seed`` the battle
     seed feeding :func:`round_seed`, ``max_rounds`` an optional cap below the
     escalator's ladder length, ``engine`` / ``store`` the usual wall-clock
-    knobs.  ``store`` accepts the :func:`resolve_battle_store` vocabulary.
+    knobs.  ``store`` accepts the
+    :func:`~repro.experiments.store.resolve_store` vocabulary.
 
     >>> from repro.algorithms import GreedyWeightAlgorithm
     >>> from repro.battles.escalators import GadgetEscalator
@@ -469,7 +441,7 @@ class Battle:
                 rounds=(),
                 stop_reason="not-applicable",
             )
-        backing = resolve_battle_store(self.store)
+        backing = resolve_store(self.store)
         budget = self.escalator.num_levels
         if self.max_rounds is not None:
             budget = min(budget, self.max_rounds)

@@ -38,7 +38,7 @@ from repro.experiments.competitive_ratio import validate_engine
 from repro.experiments.parallel import resolve_workers
 from repro.experiments.resilience import FailureReport, RetryPolicy, map_ordered
 from repro.experiments.report import format_table
-from repro.experiments.store import store_path_from_env
+from repro.experiments.store import resolve_store_path
 
 __all__ = [
     "GOLDEN_FRONTIERS_PATH",
@@ -155,12 +155,11 @@ def run_match(
 
     The grid is algorithm-major (all escalators of the first algorithm, then
     the second, …) and the result tuple is aligned with it regardless of
-    which worker finished first.  ``store`` follows the harness vocabulary
-    (``None`` = the ``OSP_STORE`` default, ``False`` = off, or a path /
-    :class:`~repro.experiments.store.SolutionStore`); workers receive the
-    resolved *path* and open their own connections.  Like ``engine`` and
-    ``workers``, the store only moves wall-clock time — the battles are
-    bit-identical either way.
+    which worker finished first.  ``store`` follows the
+    :func:`~repro.experiments.store.resolve_store_path` vocabulary; workers
+    receive the resolved *path* and open their own connections.  Like
+    ``engine`` and ``workers``, the store only moves wall-clock time — the
+    battles are bit-identical either way.
 
     ``policy`` supervises the grid's
     :func:`~repro.experiments.resilience.map_ordered` pool: crashed workers are
@@ -180,16 +179,8 @@ def run_match(
     """
     validate_engine(engine)
     resolve_workers(workers)
-    if store is None:
-        store_path = store_path_from_env()
-    elif store is False:
-        store_path = False
-    elif isinstance(store, (str, os.PathLike)):
-        store_path = str(store)
-    else:
-        store_path = store.path
-    if store_path is None:
-        store_path = False
+    # No store ships as False, so a worker never falls back to OSP_STORE.
+    store_path = resolve_store_path(store) or False
     tasks = [
         (algorithm, escalator, trials, seed, max_rounds, engine, opt_method, store_path)
         for algorithm in algorithms

@@ -36,7 +36,6 @@ from repro.experiments.orchestrator import (
     SweepUnitResult,
     build_sweep_units,
     instance_seed,
-    run_units,
     run_units_resilient,
 )
 from repro.experiments.parallel import (
@@ -54,8 +53,9 @@ from repro.experiments.report import banner, format_markdown_table, format_sweep
 from repro.experiments.store import (
     SolutionStore,
     StoreCorruptionWarning,
-    active_store,
     merge_stores,
+    resolve_store,
+    resolve_store_path,
     set_default_store_path,
     store_for_path,
     store_path_from_env,
@@ -98,7 +98,6 @@ __all__ = [
     "SweepUnitResult",
     "build_sweep_units",
     "instance_seed",
-    "run_units",
     "run_units_resilient",
     "map_ordered",
     "partition_trials",
@@ -114,7 +113,8 @@ __all__ = [
     "format_table",
     "SolutionStore",
     "StoreCorruptionWarning",
-    "active_store",
+    "resolve_store",
+    "resolve_store_path",
     "set_default_store_path",
     "store_for_path",
     "store_path_from_env",

@@ -28,7 +28,7 @@ from repro.experiments.orchestrator import (
     run_units_resilient,
 )
 from repro.experiments.resilience import FailureReport, RetryPolicy
-from repro.experiments.store import store_path_from_env
+from repro.experiments.store import SolutionStore, resolve_store_path
 
 __all__ = ["ExperimentRow", "SweepResult", "run_sweep", "summarize_rows"]
 
@@ -185,9 +185,8 @@ def run_sweep(
     opt_method: str = "auto",
     engine: str = "reference",
     workers: Union[int, str] = 1,
-    store: Union[str, bool, None] = None,
+    store: Union[str, bool, SolutionStore, None] = None,
     policy: Optional[RetryPolicy] = None,
-    lease_ttl: float = 0.0,
 ) -> SweepResult:
     """Run a parameter sweep.
 
@@ -221,8 +220,9 @@ def run_sweep(
         sweep order with the serial summation arithmetic), so this too is a
         runtime knob only.
     store:
-        Optional path of a persistent
-        :class:`~repro.experiments.store.SolutionStore` file.  Completed
+        Optional persistent :class:`~repro.experiments.store.SolutionStore`,
+        as a path or a store object
+        (:func:`~repro.experiments.store.resolve_store_path`).  Completed
         ``(point, instance)`` units found in the store are skipped and fresh
         ones are persisted, so an interrupted sweep resumes where it stopped
         and a repeated invocation answers from disk.  When omitted
@@ -243,22 +243,7 @@ def run_sweep(
         fault-free run yields — a fourth runtime-only knob.  Without a
         policy the pool is fail-fast: a failing unit raises its original
         exception.
-    lease_ttl:
-        With a store and ``lease_ttl > 0``, each unit is claimed through
-        the store's advisory lease table before computing, letting several
-        independent processes share one manifest without (mostly)
-        duplicating work.  Purely advisory: results stay first-writer-wins
-        and bit-identical whether or not leases are used.
     """
-    if store is None:
-        store = store_path_from_env()
-    elif store is False:
-        store = None
-    elif store is True:
-        raise ValueError(
-            "store=True is not a store path; pass a path, None (OSP_STORE "
-            "default) or False (force off)"
-        )
     units = build_sweep_units(parameter_points, instances_per_point, seed)
     maybe_results, failures = run_units_resilient(
         units,
@@ -267,9 +252,8 @@ def run_sweep(
         opt_method=opt_method,
         engine=engine,
         workers=workers,
-        store=store,
+        store=resolve_store_path(store),
         policy=policy,
-        lease_ttl=lease_ttl,
     )
     results = [result for result in maybe_results if result is not None]
 

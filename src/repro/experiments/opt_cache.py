@@ -213,7 +213,7 @@ def default_opt_cache() -> OptCache:
         _DEFAULT_CACHE_PID = pid
     # Imported lazily: repro.experiments.store fingerprints instances
     # through this module, so a top-level import would be circular.
-    from repro.experiments.store import active_store, store_path_from_env
+    from repro.experiments.store import resolve_store, store_path_from_env
 
     if _DEFAULT_CACHE_ENV_ATTACHMENT is not None:
         expected = os.path.abspath(_DEFAULT_CACHE_ENV_ATTACHMENT)
@@ -230,7 +230,7 @@ def default_opt_cache() -> OptCache:
             _DEFAULT_CACHE.store = None
             _DEFAULT_CACHE_ENV_ATTACHMENT = None
     if _DEFAULT_CACHE.store is None:
-        _DEFAULT_CACHE.store = active_store()
+        _DEFAULT_CACHE.store = resolve_store(None)
         if _DEFAULT_CACHE.store is not None:
             _DEFAULT_CACHE_ENV_ATTACHMENT = store_path_from_env()
     return _DEFAULT_CACHE

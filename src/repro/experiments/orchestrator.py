@@ -10,15 +10,16 @@ explicit, in the PRAM style of the related parallel-algorithms literature:
    instance up front — instance generation is cheap and keeping it in one
    place pins the RNG stream — and wraps each ``(point, instance)`` pair in
    a self-contained, picklable :class:`SweepUnit`.
-2. **Execute** (:func:`run_units`): the units are mapped over a process pool
-   (:func:`~repro.experiments.resilience.map_ordered`; ``workers=1`` stays
-   in-process).  Each worker solves OPT through its per-process
-   :func:`~repro.experiments.opt_cache.default_opt_cache`, compiles the
-   instance once through the engine's compile cache, and measures every
-   algorithm on it.
-3. **Merge** (:func:`merge_sweep`): unit results come back aligned with the
-   submission order, and the merge aggregates them point by point with the
-   same float arithmetic — the same summation order — as the serial loop.
+2. **Execute** (:func:`run_units_resilient`): the units are mapped over a
+   process pool (:func:`~repro.experiments.resilience.map_ordered`;
+   ``workers=1`` stays in-process).  Each worker solves OPT through its
+   per-process :func:`~repro.experiments.opt_cache.default_opt_cache`,
+   compiles the instance once through the engine's compile cache, and
+   measures every algorithm on it.
+3. **Merge** (:func:`repro.experiments.harness._merge_point`): unit results
+   come back aligned with the submission order, and the merge aggregates
+   them point by point with the same float arithmetic — the same summation
+   order — as the serial loop.
 
 **Determinism contract:** for fixed inputs, ``run_sweep(..., workers=n)``
 returns *bit-identical* rows for every ``n``.  Per-unit seeds are derived
@@ -32,8 +33,6 @@ from __future__ import annotations
 
 import os
 import random
-import socket
-import time
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
@@ -56,7 +55,6 @@ from repro.experiments.opt_cache import attached_store, default_opt_cache
 from repro.experiments.parallel import resolve_workers
 from repro.experiments.resilience import FailureReport, RetryPolicy, map_ordered
 from repro.experiments.store import store_for_path, unit_key
-from repro.exceptions import MeasurementFailedError
 
 if TYPE_CHECKING:  # repro.network imports the experiment layer back
     from repro.network.traffic import Trace
@@ -65,7 +63,6 @@ __all__ = [
     "SweepUnit",
     "SweepUnitResult",
     "build_sweep_units",
-    "run_units",
     "run_units_resilient",
     "instance_seed",
 ]
@@ -131,8 +128,8 @@ class SweepUnitResult:
     """Everything a sweep needs from one executed unit.
 
     ``measurements`` is aligned with the algorithm list passed to
-    :func:`run_units`.  The record carries the unit's indices so the merge
-    can re-group by point without trusting arrival order.
+    :func:`run_units_resilient`.  The record carries the unit's indices so
+    the merge can re-group by point without trusting arrival order.
 
     >>> from repro.algorithms import GreedyWeightAlgorithm
     >>> from repro.core import OnlineInstance, SetSystem
@@ -141,7 +138,9 @@ class SweepUnitResult:
     >>> units = build_sweep_units(
     ...     [("demo", lambda rng: OnlineInstance(system, name="demo"))],
     ...     instances_per_point=1, seed=0)
-    >>> result = run_units(units, [GreedyWeightAlgorithm()], trials=1)[0]
+    >>> results, _ = run_units_resilient(
+    ...     units, [GreedyWeightAlgorithm()], trials=1)
+    >>> result = results[0]
     >>> result.opt
     OptEstimate(2.0000, exact, exact)
     >>> result.measurements[0].ratio
@@ -204,34 +203,6 @@ def build_sweep_units(
     return units
 
 
-def _lease_owner() -> str:
-    """The advisory-lease owner token for this process: ``host:pid``."""
-    return f"{socket.gethostname()}:{os.getpid()}"
-
-
-def _await_or_claim(store, key: str, owner: str, lease_ttl: float):
-    """Wait for a leased unit's result, or steal the lease after its TTL.
-
-    Called when another process already holds the lease on ``key``.  Polls
-    the store for the holder's result; if none appears within ``lease_ttl``
-    seconds and the lease cannot be re-claimed (the holder keeps renewing),
-    returns ``None`` and the caller computes the unit anyway — duplicated
-    work is merely wasted wall-clock, and ``INSERT OR IGNORE`` first-writer-
-    wins keeps the stored bytes convergent no matter how many processes
-    race.  Returns the stored :class:`SweepUnitResult` when one appears.
-    """
-    deadline = time.monotonic() + lease_ttl
-    poll = min(0.05, max(lease_ttl / 10.0, 0.005))
-    while time.monotonic() < deadline:
-        time.sleep(poll)
-        stored = store.get_unit(key)
-        if stored is not None:
-            return stored
-        if store.claim_lease(key, owner, lease_ttl):
-            return None  # stolen: the holder expired without writing a result
-    return None
-
-
 def _execute_unit(
     unit: SweepUnit,
     algorithms: Sequence[OnlineAlgorithm],
@@ -239,7 +210,6 @@ def _execute_unit(
     opt_method: str,
     engine: str,
     store_path: Optional[str] = None,
-    lease_ttl: float = 0.0,
 ) -> SweepUnitResult:
     """Execute one work unit (runs in a worker process when ``workers > 1``).
 
@@ -261,13 +231,6 @@ def _execute_unit(
     sweeps can share one store file without warming each other.  The store
     is also attached below the worker's OPT cache, so even a unit-level
     miss reuses persisted offline solves.
-
-    With ``lease_ttl > 0`` (and a store), the unit is additionally *claimed*
-    through the store's advisory lease table before computing, so several
-    independent processes pointed at one manifest mostly avoid duplicating
-    work.  Leases are strictly advisory: a denied claim waits for the
-    holder's result, steals the lease once the TTL expires, and ultimately
-    computes the unit anyway — correctness never depends on the lease.
     """
     store = store_for_path(store_path) if store_path else None
     key = None
@@ -292,16 +255,6 @@ def _execute_unit(
                     point_index=unit.point_index,
                     instance_index=unit.instance_index,
                 )
-            if lease_ttl > 0:
-                owner = _lease_owner()
-                if not store.claim_lease(key, owner, lease_ttl):
-                    stored = _await_or_claim(store, key, owner, lease_ttl)
-                    if stored is not None:
-                        return replace(
-                            stored,
-                            point_index=unit.point_index,
-                            instance_index=unit.instance_index,
-                        )
     # For the duration of this unit the sweep's store (or its absence) wins
     # over whatever the cache had attached — a store=None sweep must not
     # keep writing OPT solves into a previous sweep's file.
@@ -331,75 +284,7 @@ def _execute_unit(
     )
     if store is not None and key is not None:
         store.put_unit(key, result)
-        if lease_ttl > 0:
-            store.release_lease(key, _lease_owner())
     return result
-
-
-def run_units(
-    units: Sequence[SweepUnit],
-    algorithms: Sequence[OnlineAlgorithm],
-    trials: int,
-    opt_method: str = "auto",
-    engine: str = "reference",
-    workers: "int | str" = 1,
-    store: Optional[str] = None,
-    policy: Optional[RetryPolicy] = None,
-    lease_ttl: float = 0.0,
-) -> List[SweepUnitResult]:
-    """Execute the work units across ``workers`` processes, in unit order.
-
-    The returned list is aligned with ``units`` regardless of which worker
-    finished first (``map_ordered`` guarantees submission-order results), so
-    downstream merging is deterministic.  A unit that raises — a protocol
-    violation, a solver error — propagates its original exception to the
-    caller, from worker processes included.
-
-    ``store`` optionally names a persistent
-    :class:`~repro.experiments.store.SolutionStore` file (the *path* is
-    shipped to workers; each process opens its own connection).  Stored
-    units are skipped and every freshly computed unit is persisted, making
-    the sweep resumable across crashes and re-invocations.  Like ``workers``
-    and the choice among the exact engines, the store is a wall-clock knob
-    only: the results are bit-identical with the store enabled, disabled,
-    warm or cold.  The statistical ``engine="fast"`` *does* change the
-    numbers (within its equivalence tolerances), which is why its units are
-    stored under engine-tagged keys that never collide with exact runs.
-
-    >>> from repro.algorithms import GreedyWeightAlgorithm, RandPrAlgorithm
-    >>> from repro.core import OnlineInstance, SetSystem
-    >>> system = SetSystem(sets={"A": ["u", "v"], "B": ["v", "w"]},
-    ...                    weights={"A": 2.0, "B": 1.0})
-    >>> units = build_sweep_units(
-    ...     [("demo", lambda rng: OnlineInstance(system, name="demo"))],
-    ...     instances_per_point=1, seed=0)
-    >>> results = run_units(units, [GreedyWeightAlgorithm(), RandPrAlgorithm()],
-    ...                     trials=4, engine="auto")
-    >>> len(results), len(results[0].measurements)   # one unit, two algorithms
-    (1, 2)
-    >>> results[0].measurements[0].algorithm_name
-    'greedy-weight'
-
-    With ``policy`` set, the pool is supervised (see
-    :func:`run_units_resilient`) — but this entry point still promises a
-    *complete* result list, so any unit that exhausts its retry budget
-    raises :class:`~repro.exceptions.MeasurementFailedError` (callers that
-    want to keep the healthy units use :func:`run_units_resilient`).
-    """
-    results, failures = run_units_resilient(
-        units,
-        algorithms,
-        trials,
-        opt_method=opt_method,
-        engine=engine,
-        workers=workers,
-        store=store,
-        policy=policy,
-        lease_ttl=lease_ttl,
-    )
-    if failures:
-        raise MeasurementFailedError.after_retries("sweep unit", failures)
-    return results
 
 
 def run_units_resilient(
@@ -411,12 +296,15 @@ def run_units_resilient(
     workers: "int | str" = 1,
     store: Optional[str] = None,
     policy: Optional[RetryPolicy] = None,
-    lease_ttl: float = 0.0,
 ) -> Tuple[List[Optional[SweepUnitResult]], List[FailureReport]]:
-    """Execute the units, keeping the healthy ones when some fail.
+    """Execute the units across ``workers`` processes, in unit order.
 
-    Like :func:`run_units`, but a unit that fails ``policy.max_attempts``
-    times is *quarantined* rather than sinking the sweep.  With a
+    ``store`` is the path of a :class:`~repro.experiments.store.SolutionStore`
+    file, or ``None`` for none; each process opens its own connection,
+    skips stored units and persists fresh ones (see :func:`_execute_unit`).
+
+    A unit that fails ``policy.max_attempts`` times is *quarantined* rather
+    than sinking the sweep.  With a
     :class:`~repro.experiments.resilience.RetryPolicy`, the pool of
     :func:`~repro.experiments.resilience.map_ordered` is supervised: worker
     crashes rebuild the pool and requeue only the lost units, and transient
@@ -456,8 +344,7 @@ def run_units_resilient(
         trials=trials,
         opt_method=opt_method,
         engine=engine,
-        store_path=str(store) if store is not None else None,
-        lease_ttl=lease_ttl,
+        store_path=os.fspath(store) if store is not None else None,
     )
     labels = [
         f"{unit.label}[instance {unit.instance_index}]" for unit in units

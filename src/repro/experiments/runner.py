@@ -37,7 +37,7 @@ from repro.experiments.opt_cache import default_opt_cache
 from repro.experiments.report import format_table
 from repro.experiments.resilience import RetryPolicy
 from repro.experiments.store import (
-    active_store,
+    resolve_store,
     set_default_store_path,
     store_path_from_env,
 )
@@ -466,7 +466,7 @@ def main(argv: List[str] = None) -> int:
         )
     )
     all_hold = all(row["holds"] for row in rows)
-    store = active_store()
+    store = resolve_store(None)
     if store is not None:
         stats = store.stats()
         print(

@@ -84,8 +84,9 @@ __all__ = [
     "unit_key",
     "store_for_path",
     "store_path_from_env",
+    "resolve_store_path",
+    "resolve_store",
     "set_default_store_path",
-    "active_store",
     "main",
 ]
 
@@ -333,11 +334,11 @@ class SolutionStore:
     report a miss instead of crashing.
 
     A fifth table, ``leases``, holds *advisory* work-unit claims
-    (:meth:`claim_lease` / :meth:`renew_lease` / :meth:`release_lease`,
-    steal-after-TTL) so N processes sharing one store partition a unit
-    manifest without duplicate work.  It is runtime metadata, not a payload
-    table: excluded from payload counts, checksum audits and ``merge``, and
-    its addition did not bump ``STORE_FORMAT_VERSION`` (see :class:`Lease`).
+    (:meth:`claim_lease` / :meth:`release_lease`, steal-after-TTL) through
+    which the fabric's ``work`` processes partition a unit manifest without
+    duplicate work.  It is runtime metadata, not a payload table: excluded
+    from payload counts, checksum audits and ``merge``, and its addition did
+    not bump ``STORE_FORMAT_VERSION`` (see :class:`Lease`).
 
     Counters (``opt_hits``/``opt_misses``/``unit_hits``/``unit_misses``/
     ``construction_hits``/``construction_misses``/``frontier_hits``/
@@ -633,7 +634,7 @@ class SolutionStore:
         self._put("frontiers", key, value)
 
     # ------------------------------------------------------------------
-    # Advisory work-unit leases (claim / renew / release / steal-after-TTL)
+    # Advisory work-unit leases (claim / release / steal-after-TTL)
     # ------------------------------------------------------------------
     def claim_lease(
         self, key: str, owner: str, ttl: float = LEASE_DEFAULT_TTL
@@ -686,20 +687,6 @@ class SolutionStore:
             )
             return True
 
-    def renew_lease(
-        self, key: str, owner: str, ttl: float = LEASE_DEFAULT_TTL
-    ) -> bool:
-        """Extend a lease ``owner`` holds; ``False`` if it was lost/stolen."""
-        try:
-            cursor = self._connection.execute(
-                "UPDATE leases SET expires_at = ? WHERE key = ? AND owner = ?",
-                (time.time() + ttl, key, owner),
-            )
-            self._connection.commit()
-            return cursor.rowcount > 0
-        except sqlite3.DatabaseError:
-            return False
-
     def release_lease(self, key: str, owner: str) -> None:
         """Drop ``owner``'s lease on ``key`` (no-op if not held)."""
         try:
@@ -725,13 +712,7 @@ class SolutionStore:
     def lease_counts(self) -> Tuple[int, int]:
         """``(total, active)`` lease rows — ``inspect`` shows both."""
         try:
-            total = self._connection.execute(
-                "SELECT COUNT(*) FROM leases"
-            ).fetchone()[0]
-            active = self._connection.execute(
-                "SELECT COUNT(*) FROM leases WHERE expires_at > ?", (time.time(),)
-            ).fetchone()[0]
-            return int(total), int(active)
+            return _lease_counts(self._connection)
         except sqlite3.DatabaseError:
             return 0, 0
 
@@ -862,6 +843,68 @@ def store_path_from_env() -> Optional[str]:
     return raw if raw else None
 
 
+def resolve_store_path(store) -> Optional[str]:
+    """The store file a ``store=`` argument names, or ``None`` for no store.
+
+    The one reading of the ``store=`` convention of sweeps, matches, battles
+    and stored constructions: ``None`` means the ``OSP_STORE`` default,
+    ``False`` turns the store off, a path names that file and a
+    :class:`SolutionStore` names its own.  Pool fan-out ships this path and
+    each worker opens its own connection; in-process callers use
+    :func:`resolve_store`.  Any other value, ``True`` included, is an error.
+
+    >>> import pathlib, tempfile
+    >>> previous = store_path_from_env()
+    >>> set_default_store_path("/tmp/env.sqlite")
+    >>> resolve_store_path(None), resolve_store_path(False)  # default; off
+    ('/tmp/env.sqlite', None)
+    >>> set_default_store_path(previous)
+    >>> resolve_store_path("/tmp/a"), resolve_store_path(pathlib.Path("/tmp/b"))
+    ('/tmp/a', '/tmp/b')
+    >>> store = SolutionStore(os.path.join(tempfile.mkdtemp(), "c.sqlite"))
+    >>> resolve_store_path(store) == store.path
+    True
+    >>> store.close()
+    >>> resolve_store_path(True)                # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+    ...
+    ValueError: store=True is not a store; pass a path, a SolutionStore, ...
+    """
+    if store is None:
+        return store_path_from_env()
+    if store is False:
+        return None
+    if isinstance(store, SolutionStore):
+        return store.path
+    if isinstance(store, (str, os.PathLike)):
+        return os.fspath(store)
+    raise ValueError(
+        f"store={store!r} is not a store; pass a path, a SolutionStore, "
+        "None (OSP_STORE default) or False (off)"
+    )
+
+
+def resolve_store(store) -> Optional[SolutionStore]:
+    """The live store a ``store=`` argument names, or ``None`` for no store.
+
+    Reads the :func:`resolve_store_path` vocabulary for in-process callers:
+    a passed :class:`SolutionStore` is returned itself, and a path opens (or
+    reuses) the per-process store for that file.
+
+    >>> import tempfile
+    >>> resolve_store(False) is None
+    True
+    >>> store = SolutionStore(os.path.join(tempfile.mkdtemp(), "d.sqlite"))
+    >>> resolve_store(store) is store
+    True
+    >>> store.close()
+    """
+    if isinstance(store, SolutionStore):
+        return store
+    path = resolve_store_path(store)
+    return None if path is None else store_for_path(path)
+
+
 def set_default_store_path(path: Optional[str]) -> None:
     """Set (or clear, with ``None``) the process-wide default store path.
 
@@ -883,27 +926,6 @@ def set_default_store_path(path: Optional[str]) -> None:
         os.environ.pop(STORE_ENV_VAR, None)
     else:
         os.environ[STORE_ENV_VAR] = str(path)
-
-
-def active_store() -> Optional[SolutionStore]:
-    """The store named by ``OSP_STORE``, opened per-process, or ``None``.
-
-    >>> import os, tempfile
-    >>> previous = os.environ.get(STORE_ENV_VAR)
-    >>> set_default_store_path(None)
-    >>> active_store() is None
-    True
-    >>> path = os.path.join(tempfile.mkdtemp(), "env.sqlite")
-    >>> set_default_store_path(path)
-    >>> active_store().path == path
-    True
-    >>> active_store().close()
-    >>> set_default_store_path(previous)
-    """
-    path = store_path_from_env()
-    if path is None:
-        return None
-    return store_for_path(path)
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,6 @@ IV.  Every set of ``S`` receives ``ell^2`` fresh load-one elements.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
@@ -234,10 +233,11 @@ def stored_lemma9_instance(ell: int, seed: int, store=None) -> Lemma9Instance:
     consumes is the one seeded here — and at larger orders it dominates the
     Theorem 2 benchmark's setup time, so the sample is memoized in the
     persistent solution store (:mod:`repro.experiments.store`) under the key
-    ``lemma9|ell=<ell>|seed=<seed>``.  ``store`` follows the ``run_sweep``
-    convention: a :class:`~repro.experiments.store.SolutionStore` (or a
-    path), ``None`` to use the ``OSP_STORE``-named default, or ``False`` to
-    force memoization off.  Without a store this is exactly
+    ``lemma9|ell=<ell>|seed=<seed>``.  ``store`` follows the
+    :func:`~repro.experiments.store.resolve_store` convention: a
+    :class:`~repro.experiments.store.SolutionStore` (used as-is) or a path,
+    ``None`` to use the ``OSP_STORE``-named default, or ``False`` to force
+    memoization off.  Without a store this is exactly
     :func:`build_lemma9_instance`; a warm hit returns the pickled sample,
     byte-for-byte the one the cold call computed.
 
@@ -258,16 +258,9 @@ def stored_lemma9_instance(ell: int, seed: int, store=None) -> Lemma9Instance:
     # stay importable without the experiments layer (and the experiments
     # package imports instances from core, so a top-level import could
     # become circular as the layers grow).
-    from repro.experiments.store import active_store, store_for_path
+    from repro.experiments.store import resolve_store
 
-    if store is None:
-        backing = active_store()
-    elif store is False:
-        backing = None
-    elif isinstance(store, (str, os.PathLike)):
-        backing = store_for_path(store)
-    else:
-        backing = store
+    backing = resolve_store(store)
 
     # Normalize once and use the normalized values for BOTH the key and the
     # construction: keying on int(seed) while seeding with the raw value

@@ -23,7 +23,6 @@ from repro.experiments.competitive_ratio import (
 )
 from repro.experiments.faults import FAULT_PLAN_ENV_VAR, Fault, FaultPlan
 from repro.experiments.opt_cache import default_opt_cache
-from repro.experiments.orchestrator import build_sweep_units, run_units
 from repro.experiments.resilience import RetryPolicy
 from repro.experiments.runner import main
 from repro.experiments.store import STORE_ENV_VAR, SolutionStore, store_for_path
@@ -238,13 +237,6 @@ class TestQuarantineSemantics:
         ] == healthy
         # The poisoned point contributes no rows at all (1 instance, 0 survivors).
         assert [row for row in chaotic.rows if row.parameter_label == poisoned] == []
-
-    def test_run_units_with_policy_raises_on_failure(self):
-        FaultPlan((Fault(action="raise", unit=0),)).install()
-        units = build_sweep_units(_points((16,)), instances_per_point=1, seed=11)
-        with pytest.raises(MeasurementFailedError) as excinfo:
-            run_units(units, [GreedyWeightAlgorithm()], trials=2, policy=FAST_POLICY)
-        assert excinfo.value.failures[0].label == "n=16[instance 0]"
 
     def test_simulation_benefits_cannot_quarantine(self):
         instance = random_online_instance(

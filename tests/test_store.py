@@ -1213,8 +1213,6 @@ class TestLeases:
         assert not store.claim_lease("k", "bob", ttl=60.0)
         # Claiming one's own active lease renews it rather than failing.
         assert store.claim_lease("k", "alice", ttl=60.0)
-        assert store.renew_lease("k", "alice", ttl=60.0)
-        assert not store.renew_lease("k", "bob", ttl=60.0)
         store.release_lease("k", "alice")
         assert store.get_lease("k") is None
         assert store.claim_lease("k", "bob", ttl=60.0)
@@ -1316,69 +1314,11 @@ class TestLeases:
         path = str(tmp_path / "leased.sqlite")
         baseline = _sweep()
         leased = _sweep(store=path)
-        # run_sweep(..., lease_ttl=...) goes through the same helper:
-        from repro.experiments.harness import run_sweep as _run_sweep
-
-        leased_ttl = _run_sweep(
-            "store-test",
-            _points(),
-            [RandPrAlgorithm(), GreedyWeightAlgorithm(), UniformRandomAlgorithm()],
-            instances_per_point=2,
-            trials_per_instance=10,
-            seed=5,
-            engine="auto",
-            workers=2,
-            store=str(tmp_path / "leased2.sqlite"),
-            lease_ttl=10.0,
-        )
         assert leased.rows == baseline.rows
-        assert leased_ttl.rows == baseline.rows
-        # Completed units release their leases.
-        store = store_for_path(str(tmp_path / "leased2.sqlite"))
+        # Only the fabric claims units: a plain sweep leaves no lease rows.
+        store = store_for_path(path)
         assert store.lease_counts() == (0, 0)
         store.close()
-
-    def test_sweep_waits_out_or_steals_a_foreign_lease(self, tmp_path):
-        """A unit pre-claimed by a (dead) foreign process still completes."""
-        from repro.experiments.competitive_ratio import EXACT_SOLVER_SET_LIMIT
-        from repro.experiments.harness import run_sweep as _run_sweep
-        from repro.experiments.orchestrator import build_sweep_units
-
-        path = str(tmp_path / "contended.sqlite")
-        algorithms = [RandPrAlgorithm(), GreedyWeightAlgorithm()]
-        units = build_sweep_units(_points(), instances_per_point=2, seed=5)
-        key = unit_key(
-            units[0].instance, units[0].measure_seed, algorithms, 10, "auto",
-            EXACT_SOLVER_SET_LIMIT,
-        )
-        holder = SolutionStore(path)
-        assert holder.claim_lease(key, "dead-process", ttl=0.2)
-        holder.close()
-
-        result = _run_sweep(
-            "store-test",
-            _points(),
-            algorithms,
-            instances_per_point=2,
-            trials_per_instance=10,
-            seed=5,
-            engine="auto",
-            workers=1,
-            store=path,
-            lease_ttl=0.2,
-        )
-        # Same sweep without the contended store: the lease must not have
-        # changed a single bit.
-        expected = _run_sweep(
-            "store-test",
-            _points(),
-            algorithms,
-            instances_per_point=2,
-            trials_per_instance=10,
-            seed=5,
-            engine="auto",
-        )
-        assert result.rows == expected.rows
 
     @hyp_settings(deadline=None, max_examples=50)
     @given(
@@ -1392,9 +1332,6 @@ class TestLeases:
                     st.just("claim"), st.sampled_from(["alice", "bob", "carol"])
                 ),
                 st.tuples(
-                    st.just("renew"), st.sampled_from(["alice", "bob", "carol"])
-                ),
-                st.tuples(
                     st.just("release"), st.sampled_from(["alice", "bob", "carol"])
                 ),
             ),
@@ -1405,11 +1342,10 @@ class TestLeases:
     def test_lease_state_machine_property(self, steps):
         """Property test of the lease state machine under a virtual clock.
 
-        Any interleaving of claim / renew / release / clock-advance must
-        match the reference model: a claim succeeds iff the key is free,
-        the standing lease has expired (steal-after-TTL), or the claimant
-        already owns it; renew succeeds iff the row still carries the
-        renewer's name; release is ownership-gated.  Derived invariants —
+        Any interleaving of claim / release / clock-advance must match the
+        reference model: a claim succeeds iff the key is free, the standing
+        lease has expired (steal-after-TTL), or the claimant already owns it
+        (which renews it); release is ownership-gated.  Derived invariants —
         at most one live owner, an expired lease is stolen exactly once —
         fall out of the model comparison and are also asserted directly.
         """
@@ -1467,11 +1403,6 @@ class TestLeases:
                                     assert not store.claim_lease(
                                         "k", contender, ttl=ttl
                                     )
-                    elif op == "renew":
-                        expect = model is not None and model[0] == owner
-                        assert store.renew_lease("k", owner, ttl=ttl) == expect
-                        if expect:
-                            model = (owner, clock.now + ttl)
                     else:  # release
                         store.release_lease("k", owner)
                         if model is not None and model[0] == owner:
