@@ -48,6 +48,7 @@ from repro.engine.compile import CompiledInstance
 from repro.engine.specs import (
     GREEDY_KINDS,
     PER_STEP_RANDOM_KINDS,
+    UNIFORM_DRAW_KINDS,
     AlgorithmSpec,
     priority_matrix,
     reference_priority_row,
@@ -365,23 +366,34 @@ def _replay_reference(
         completed[trial] = _run_static(compiled, keys[np.newaxis])[0]
 
 
-def _run_randpr(compiled: CompiledInstance, trials: int, seed: int) -> np.ndarray:
-    """Replay all trials of randPr; returns the ``(trials, m)`` completed mask.
+def _run_drawn(compiled: CompiledInstance, kind: str, trials: int, seed: int) -> np.ndarray:
+    """Replay all trials of randPr or uniform-priority; returns the ``(trials, m)`` mask.
 
-    The draw table comes from the bridge's ``uniform_matrix`` and becomes
-    F-ordered order keys in one buffer; it is released before the kernel
-    runs (a table over the uniform cache's cap is held by nothing else).
+    The draws come through :func:`~repro.engine.rng.uniform_blocks`, and
+    each block is keyed and replayed before the next is drawn, so an
+    over-cap ``(trials, m)`` table is never built.  randPr's zero-draw and
+    near-tie lanes are replayed from the reference draws at their batch offset.
     """
-    uniforms = rng_bridge.uniform_matrix(seed, trials, compiled.num_sets)
-    replay = set(zero_draw_trials(uniforms))
-    keys = np.empty(uniforms.shape, order="F")
-    _randpr_keys(uniforms, compiled.priority_exponents, keys)
-    del uniforms
-    near = np.zeros(trials, dtype=bool)
-    completed = _run_static(compiled, keys, near)
-    del keys
-    replay.update(np.flatnonzero(near).tolist())
-    _replay_reference(compiled, seed, sorted(replay), completed)
+    completed = np.empty((trials, compiled.num_sets), dtype=bool)
+    groups = _contested_groups(compiled)
+    replay: List[int] = []
+    for start, uniforms in rng_bridge.uniform_blocks(seed, trials, compiled.num_sets):
+        keys = np.empty(uniforms.shape, order="F")
+        near = None
+        if kind == "randPr":
+            replay += [start + lane for lane in zero_draw_trials(uniforms)]
+            near = np.zeros(len(uniforms), dtype=bool)
+            _randpr_keys(uniforms, compiled.priority_exponents, keys)
+        else:  # uniform-priority: the draws are the priorities
+            np.negative(uniforms, out=keys)
+        del uniforms  # an over-cap block is held by nothing else
+        block = np.ones(keys.shape, dtype=bool, order="F")
+        _drop_losers(keys, groups, block, near=near)
+        del keys
+        completed[start : start + len(block)] = block
+        if near is not None:
+            replay += (start + np.flatnonzero(near)).tolist()
+    _replay_reference(compiled, seed, sorted(set(replay)), completed)
     return completed
 
 
@@ -608,8 +620,8 @@ def simulate_batch(
         completed = _run_greedy(compiled, spec.kind)
     elif spec.kind in PER_STEP_RANDOM_KINDS:
         completed = _run_uniform_random(compiled, trials, seed)
-    elif spec.kind == "randPr":
-        completed = _run_randpr(compiled, trials, seed)
+    elif spec.kind in UNIFORM_DRAW_KINDS:
+        completed = _run_drawn(compiled, spec.kind, trials, seed)
     else:
         priorities = priority_matrix(spec, compiled, trials, seed)
         # Negate so that "smallest key wins" with stable index tie-breaks;

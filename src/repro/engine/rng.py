@@ -22,10 +22,11 @@ CPython's Mersenne Twister in numpy:
   stream type — runs the MT19937 twist + tempering on the whole
   ``(624, trials)`` state matrix.  Every consumer reads its words:
   :func:`uniform_matrix` (the cached ``(trials, draws)`` table of
-  ``random.Random(seed + b).random()`` values), :meth:`WordStreams.random`
-  (the same values in chunks, for the streaming engine's static draws and
-  for uniform-random's fixed per-arrival draws) and :func:`getrandbits64`
-  (the hashed variant's salts).
+  ``random.Random(seed + b).random()`` values, also read in trial blocks
+  through :func:`uniform_blocks`), :meth:`WordStreams.random` (the same
+  values in chunks, for the streaming engine's static draws and for
+  uniform-random's fixed per-arrival draws) and :func:`getrandbits64` (the
+  hashed variant's salts).
 * :func:`exact_pow` applies the inverse-CDF transform ``u ** (1/w)`` with the
   same C-library ``pow`` the reference algorithms call.  numpy's vectorized
   ``**`` uses a SIMD polynomial that is *not* bit-identical to libm ``pow``
@@ -50,7 +51,7 @@ import math
 import random
 from collections import OrderedDict
 from itertools import repeat
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +60,7 @@ __all__ = [
     "state_matrix",
     "uniform_matrix",
     "cached_uniform_matrix",
+    "uniform_blocks",
     "WordStreams",
     "getrandbits64",
     "exact_pow",
@@ -77,9 +79,14 @@ _MIX2 = np.uint32(1566083941)
 _TEMPER_B = np.uint32(0x9D2C5680)
 _TEMPER_C = np.uint32(0xEFC60000)
 
-#: Trials are processed in blocks of this many rows (by :func:`uniform_matrix`
-#: and the uniform-random replay) so the transient state stays a few megabytes.
+#: Trials are processed in blocks of this many rows (by :func:`uniform_matrix`,
+#: :func:`uniform_blocks`, :func:`getrandbits64` and the uniform-random replay)
+#: so the transient state stays a few megabytes.
 _TRIAL_BLOCK = 4096
+
+#: Rows per twist segment: word ``i`` reads word ``i + 397`` (mod 624), which
+#: the twist has already regenerated from ``i = 227`` on (see :func:`_twist`).
+_SEGMENT = MT_N - 397
 
 #: ``i`` as a wrapping ``uint32`` scalar, precomputed for the seeding loops.
 _U32_INDEX: Tuple[np.uint32, ...] = tuple(np.uint32(i) for i in range(MT_N))
@@ -242,30 +249,30 @@ def state_matrix(seeds: Iterable[int]) -> np.ndarray:
     return np.ascontiguousarray(_state_matrix_T(seed_list).T)
 
 
-def _twist(mt: np.ndarray, scratch_a: np.ndarray, scratch_b: np.ndarray) -> None:
+def _twist(mt: np.ndarray, y_rows: np.ndarray, tmp_rows: np.ndarray) -> None:
     """One in-place MT19937 state regeneration over the ``(MT_N, batch)`` matrix.
 
     The scalar twist updates word ``i`` from words ``i+1`` and ``i+397``
     (mod 624) *sequentially*, so later words read already-regenerated values.
-    The vectorized version reproduces that by splitting the index range at
-    the read/write dependency boundaries (397 back-references reach freshly
-    written words from index 227 on, and again from 454 on).  The two
-    scratch arrays are reusable ``(MT_N - 1, batch)`` buffers.
+    The vectorized version runs three row segments, ``[0, 227)``, ``[227,
+    454)`` and ``[454, 623)``, in turn, so each reads what the scalar loop
+    reads: ``y`` from old words, the back-reference from the old ``[397,
+    624)`` or from rows an earlier segment regenerated.  The two scratch
+    arrays are reusable ``(_SEGMENT, batch)`` buffers.
     """
-    old_last = mt[MT_N - 1].copy()
-    # y <- (y_i >> 1) ^ mag01[y_i & 1] for y_i = hi(mt[i]) | lo(mt[i+1]), i < 623
-    y, tmp = scratch_a, scratch_b
-    np.bitwise_and(mt[1:], _LOWER, out=y)
-    np.bitwise_and(mt[: MT_N - 1], _UPPER, out=tmp)
-    np.bitwise_or(y, tmp, out=y)
-    np.right_shift(y, 1, out=tmp)
-    np.bitwise_and(y, np.uint32(1), out=y)
-    np.multiply(y, _MATRIX_A, out=y)
-    np.bitwise_xor(tmp, y, out=y)
-    np.bitwise_xor(mt[397:], y[:227], out=mt[:227])
-    np.bitwise_xor(mt[:227], y[227:454], out=mt[227:454])
-    np.bitwise_xor(mt[227:396], y[454:623], out=mt[454:623])
-    y_last = (old_last & _UPPER) | (mt[0] & _LOWER)
+    for start, source in ((0, 397), (_SEGMENT, 0), (2 * _SEGMENT, _SEGMENT)):
+        stop = min(start + _SEGMENT, MT_N - 1)
+        y, tmp = y_rows[: stop - start], tmp_rows[: stop - start]
+        # y <- (y_i >> 1) ^ mag01[y_i & 1] for y_i = hi(mt[i]) | lo(mt[i+1])
+        np.bitwise_and(mt[start + 1 : stop + 1], _LOWER, out=y)
+        np.bitwise_and(mt[start:stop], _UPPER, out=tmp)
+        np.bitwise_or(y, tmp, out=y)
+        np.right_shift(y, 1, out=tmp)
+        np.bitwise_and(y, np.uint32(1), out=y)
+        np.multiply(y, _MATRIX_A, out=y)
+        np.bitwise_xor(tmp, y, out=y)
+        np.bitwise_xor(mt[source : source + stop - start], y, out=mt[start:stop])
+    y_last = (mt[MT_N - 1] & _UPPER) | (mt[0] & _LOWER)
     mt[623] = mt[396] ^ (y_last >> 1) ^ ((y_last & np.uint32(1)) * _MATRIX_A)
 
 
@@ -304,23 +311,23 @@ class WordStreams:
         # Rows of the current twist block already handed out; a freshly
         # seeded generator (CPython's position 624) twists on its first word.
         self._block_used = MT_N
-        self._scratch_a = np.empty((MT_N, trials), dtype=np.uint32)
-        self._scratch_b = np.empty((MT_N - 1, trials), dtype=np.uint32)
+        self._scratch_a = np.empty((_SEGMENT, trials), dtype=np.uint32)
+        self._scratch_b = np.empty((_SEGMENT, trials), dtype=np.uint32)
 
     def _generate(self, out: np.ndarray) -> np.ndarray:
         """Fill the ``(count, trials)`` array ``out`` with the next words.
 
         A block is twisted only once the previous one is used up, and only
-        the rows handed out are tempered; the untempered rest of the block
-        stays in the generator state.
+        the rows handed out are tempered, at most one scratch's rows at a
+        time; the untempered rest of the block stays in the generator state.
         """
         filled = 0
         while filled < len(out):
             if self._block_used == MT_N:
-                _twist(self._mt, self._scratch_a[: MT_N - 1], self._scratch_b)
+                _twist(self._mt, self._scratch_a, self._scratch_b)
                 self._block_used = 0
             used = self._block_used
-            take = min(MT_N - used, len(out) - filled)
+            take = min(MT_N - used, len(out) - filled, _SEGMENT)
             _temper(self._mt[used : used + take], out[filled : filled + take], self._scratch_a)
             self._block_used, filled = used + take, filled + take
         return out
@@ -441,8 +448,9 @@ def uniform_matrix(seed: int, trials: int, draws: int) -> np.ndarray:
     Entry ``[b, k]`` is bit-equal to the ``k``-th ``random.Random(seed + b)
     .random()`` call — the batch engine's seeding convention — produced
     entirely by vectorized numpy operations (see the module docstring for the
-    pipeline).  The returned array is a **read-only, F-contiguous view of a
-    cached table**; callers that need to mutate it must copy.
+    pipeline).  The returned array is **read-only** and F-contiguous: a view
+    of the cached table within the cache's byte cap, else a fresh table
+    cached nowhere (:func:`uniform_blocks` never builds that one whole).
 
     A miss whose table fits the cache's byte cap pairs every word of the
     twist blocks it generates — ``draws`` rounded up to a multiple of
@@ -493,25 +501,44 @@ def uniform_matrix(seed: int, trials: int, draws: int) -> np.ndarray:
     return out[:, :draws]
 
 
+def uniform_blocks(seed: int, trials: int, draws: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """:func:`uniform_matrix`'s rows as ``(start, rows)`` blocks of trials.
+
+    Within the cache's byte cap: one block, the shared cached table.  Over
+    it: fresh :class:`WordStreams` rows per :data:`_TRIAL_BLOCK` trials,
+    cached nowhere (a consumer drops each block before taking the next).
+
+    >>> [(start, rows.shape) for start, rows in uniform_blocks(8, 3, 4)]
+    [(0, (3, 4))]
+    """
+    if trials * draws * 8 <= _UNIFORM_CACHE_MAX_BYTES:
+        yield 0, uniform_matrix(seed, trials, draws)
+        return
+    for start in range(0, trials, _TRIAL_BLOCK):
+        yield start, WordStreams(seed + start, min(_TRIAL_BLOCK, trials - start)).random(draws)
+
+
 def getrandbits64(seed: int, trials: int) -> List[int]:
     """Per-trial replay of ``random.Random(seed + b).getrandbits(64)``.
 
     ``getrandbits(64)`` consumes two 32-bit outputs little-endian (the first
     word is the low half), which is exactly the first generator pair — so the
     salted hashed-randPr variant can draw its per-trial salts from the same
-    vectorized stream the priority draws come from.
+    vectorized stream the priority draws come from.  The streams are seeded
+    :data:`_TRIAL_BLOCK` trials at a time, which bounds their state.
 
     >>> import random
     >>> getrandbits64(5, trials=2) == [random.Random(5 + b).getrandbits(64)
     ...                                for b in range(2)]
     True
     """
-    if trials <= 0:
-        return []
-    words = WordStreams(seed, trials)._generate(np.empty((2, trials), dtype=np.uint32))
-    low = words[0].astype(np.uint64)
-    high = words[1].astype(np.uint64)
-    return [int(value) for value in low | (high << np.uint64(32))]
+    salts: List[int] = []
+    for start in range(0, trials, _TRIAL_BLOCK):
+        lanes = min(_TRIAL_BLOCK, trials - start)
+        words = WordStreams(seed + start, lanes)._generate(np.empty((2, lanes), dtype=np.uint32))
+        low, high = words.astype(np.uint64)
+        salts += (low | (high << np.uint64(32))).tolist()
+    return salts
 
 
 def exact_pow(base: np.ndarray, exponents: Sequence[float]) -> np.ndarray:

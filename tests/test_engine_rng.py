@@ -325,6 +325,23 @@ def test_getrandbits64_matches_reference():
     assert rng_bridge.getrandbits64(0, trials=0) == []
 
 
+def test_getrandbits64_is_seeded_one_trial_block_at_a_time(monkeypatch):
+    """Each block's streams start at ``seed + start``, so the salts do not move."""
+    seedings = []
+    original = rng_bridge._seed_group
+
+    def counted(key_matrix):
+        seedings.append(key_matrix.shape[1])
+        return original(key_matrix)
+
+    monkeypatch.setattr(rng_bridge, "_TRIAL_BLOCK", 4)
+    monkeypatch.setattr(rng_bridge, "_seed_group", counted)
+    assert rng_bridge.getrandbits64(77, trials=10) == [
+        random.Random(77 + trial).getrandbits(64) for trial in range(10)
+    ]
+    assert seedings == [4, 4, 2]
+
+
 # ----------------------------------------------------------------------
 # exact_pow: bit-equality with the scalar reference transform
 # ----------------------------------------------------------------------
