@@ -139,68 +139,69 @@ def _compare(instance, algorithm, trials, seed):
 # ----------------------------------------------------------------------
 
 
-def _reference_setup_seconds(instance, algorithm, trials, seed, rounds=3):
-    """Best-of-``rounds`` timing of ``simulate_many``'s per-trial setup.
+def _reference_setup_seconds(instance, algorithm, trials, seed):
+    """One timing of ``simulate_many``'s per-trial setup.
 
     The per-trial setup is rng construction + set-info copy + ``start`` —
-    exactly what the reference engine pays before any arrival.  Best-of on
-    *both* sides of the comparison (here and in :func:`_batch_setup_seconds`)
-    keeps the reported ratio stable on loaded machines: min/min converges to
-    the quiet-machine ratio, while a single noisy pass on either side would
-    swing the floor check both ways.
+    exactly what the reference engine pays before any arrival.
     """
     set_infos = instance.system.set_infos()
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for trial in range(trials):
-            rng = random.Random(seed + trial)
-            infos = dict(set_infos)
-            algorithm.start(infos, rng)
-        best = min(best, time.perf_counter() - start)
-    return best
+    start = time.perf_counter()
+    for trial in range(trials):
+        rng = random.Random(seed + trial)
+        infos = dict(set_infos)
+        algorithm.start(infos, rng)
+    return time.perf_counter() - start
 
 
-def _batch_setup_seconds(compiled, specs, trials, seed, rounds=3):
-    """Best-of-``rounds`` cold timing of the given priority-matrix sequence.
+def _batch_setup_seconds(compiled, specs, trials, seed):
+    """One cold timing of the given priority-matrix sequence.
 
-    The draw cache is cleared before every round, so a multi-spec sequence
-    measures exactly what a suite pays: the first randomized spec generates
-    the shared draw table, later ones reuse it.
+    The draw cache is cleared first, so a multi-spec sequence measures
+    exactly what a suite pays: the first randomized spec generates the
+    shared draw table, later ones reuse it.
     """
-    best = float("inf")
-    for _ in range(rounds):
-        clear_uniform_cache()
-        start = time.perf_counter()
-        for spec in specs:
-            priority_matrix(spec, compiled, trials, seed)
-        best = min(best, time.perf_counter() - start)
-    return best
+    clear_uniform_cache()
+    start = time.perf_counter()
+    for spec in specs:
+        priority_matrix(spec, compiled, trials, seed)
+    return time.perf_counter() - start
 
 
-def run_setup_phase(instance, trials, seed):
-    """Measure the priority-setup phase; returns (rows, suite_speedup, cold_speedup)."""
+def run_setup_phase(instance, trials, seed, rounds=3):
+    """Measure the priority-setup phase; returns (rows, suite_speedup, cold_speedup).
+
+    Every timing is best-of-``rounds`` on *both* sides of the comparison,
+    which keeps the ratio stable on loaded machines: min/min converges to
+    the quiet-machine ratio, while a single noisy pass on either side would
+    swing the floor check both ways.  Each round times every reference and
+    batch measurement back to back, so both sides' best-ofs sample the same
+    host speed phases.  A shared 2-core host holds a speed phase (up to
+    ~1.9x apart) for a few tenths of a second to a second, longer than the
+    three rounds of one side, so timing all reference rounds before all
+    batch rounds made each ratio one of two phases: 2.6x to 5.7x for cold
+    randPr in twelve back-to-back repetitions.
+    """
     compiled = compiled_for(instance)
     priority_matrix(AlgorithmSpec("randPr"), compiled, 8, seed)  # warm numpy
-
-    reference_randpr = _reference_setup_seconds(
-        instance, RandPrAlgorithm(), trials, seed
-    )
-    reference_uniform = _reference_setup_seconds(
-        instance, UnweightedPriorityAlgorithm(), trials, seed
-    )
-    batch_randpr = _batch_setup_seconds(
-        compiled, [AlgorithmSpec("randPr")], trials, seed
-    )
-    batch_uniform = _batch_setup_seconds(
-        compiled, [AlgorithmSpec("uniform-priority")], trials, seed
-    )
-    batch_suite = _batch_setup_seconds(
-        compiled,
-        [AlgorithmSpec("randPr"), AlgorithmSpec("uniform-priority")],
-        trials,
-        seed,
-    )
+    randpr, uniform = AlgorithmSpec("randPr"), AlgorithmSpec("uniform-priority")
+    timers = {
+        "reference_randpr": lambda: _reference_setup_seconds(
+            instance, RandPrAlgorithm(), trials, seed
+        ),
+        "batch_randpr": lambda: _batch_setup_seconds(compiled, [randpr], trials, seed),
+        "reference_uniform": lambda: _reference_setup_seconds(
+            instance, UnweightedPriorityAlgorithm(), trials, seed
+        ),
+        "batch_uniform": lambda: _batch_setup_seconds(compiled, [uniform], trials, seed),
+        "batch_suite": lambda: _batch_setup_seconds(
+            compiled, [randpr, uniform], trials, seed
+        ),
+    }
+    best = dict.fromkeys(timers, float("inf"))
+    for _ in range(rounds):
+        for name, timer in timers.items():
+            best[name] = min(best[name], timer())
 
     def row(phase, reference_seconds, batch_seconds):
         return {
@@ -212,17 +213,18 @@ def run_setup_phase(instance, trials, seed):
             "batch_trials_per_sec": int(trials / batch_seconds),
         }
 
+    reference_suite = best["reference_randpr"] + best["reference_uniform"]
     rows = [
-        row("randPr (cold)", reference_randpr, batch_randpr),
-        row("uniform-priority (cold)", reference_uniform, batch_uniform),
+        row("randPr (cold)", best["reference_randpr"], best["batch_randpr"]),
+        row("uniform-priority (cold)", best["reference_uniform"], best["batch_uniform"]),
         row(
             "suite: randPr + uniform-priority (shared draw table)",
-            reference_randpr + reference_uniform,
-            batch_suite,
+            reference_suite,
+            best["batch_suite"],
         ),
     ]
-    suite_speedup = (reference_randpr + reference_uniform) / batch_suite
-    cold_speedup = reference_randpr / batch_randpr
+    suite_speedup = reference_suite / best["batch_suite"]
+    cold_speedup = best["reference_randpr"] / best["batch_randpr"]
     return rows, suite_speedup, cold_speedup
 
 

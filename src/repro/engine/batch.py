@@ -371,26 +371,31 @@ def _run_drawn(compiled: CompiledInstance, kind: str, trials: int, seed: int) ->
 
     The draws come through :func:`~repro.engine.rng.uniform_blocks`, and
     each block is keyed and replayed before the next is drawn, so an
-    over-cap ``(trials, m)`` table is never built.  randPr's zero-draw and
+    over-cap ``(trials, m)`` table is never built: its blocks are lane
+    chunks, keyed in one reused F-ordered buffer.  randPr's zero-draw and
     near-tie lanes are replayed from the reference draws at their batch offset.
     """
-    completed = np.empty((trials, compiled.num_sets), dtype=bool)
+    m = compiled.num_sets
+    completed = np.empty((trials, m), dtype=bool)
     groups = _contested_groups(compiled)
     replay: List[int] = []
-    for start, uniforms in rng_bridge.uniform_blocks(seed, trials, compiled.num_sets):
-        keys = np.empty(uniforms.shape, order="F")
+    cells = np.empty(0)
+    for start, uniforms in rng_bridge.uniform_blocks(seed, trials, m):
+        lanes = len(uniforms)
+        if cells.size < lanes * m:  # the first block is the widest
+            cells = np.empty(lanes * m)
+        keys = cells[: lanes * m].reshape(m, lanes).T  # (lanes, m), F-contiguous
         near = None
         if kind == "randPr":
             replay += [start + lane for lane in zero_draw_trials(uniforms)]
-            near = np.zeros(len(uniforms), dtype=bool)
+            near = np.zeros(lanes, dtype=bool)
             _randpr_keys(uniforms, compiled.priority_exponents, keys)
         else:  # uniform-priority: the draws are the priorities
             np.negative(uniforms, out=keys)
         del uniforms  # an over-cap block is held by nothing else
-        block = np.ones(keys.shape, dtype=bool, order="F")
+        block = np.ones((lanes, m), dtype=bool, order="F")
         _drop_losers(keys, groups, block, near=near)
-        del keys
-        completed[start : start + len(block)] = block
+        completed[start : start + lanes] = block
         if near is not None:
             replay += (start + np.flatnonzero(near)).tolist()
     _replay_reference(compiled, seed, sorted(set(replay)), completed)
@@ -471,39 +476,45 @@ def _run_uniform_random(
     randomness at every arrival, but a fixed number of ``random()`` values
     (see :class:`~repro.algorithms.random_assign.UniformRandomAlgorithm`),
     so every arrival's draws sit at a stream offset the instance fixes.
-    Each trial block reads them one block of steps
-    (:func:`_uniform_random_plan`) at a time, replays every group of equal
-    ``(w, t)`` steps at once (:func:`_fisher_yates_kept`), and clears the
-    parents not kept; a set survives iff it is kept at every arrival.
-
-    The draws come from the cached draw table when an earlier kind at the
-    same ``(seed, trials)`` — randPr or uniform-priority in a sweep unit —
-    left one that covers them (:func:`~repro.engine.rng.cached_uniform_matrix`;
-    this replay never creates one), and from lockstep
-    :meth:`~repro.engine.rng.WordStreams.random` chunks otherwise.
+    Each lane chunk reads them one block of steps
+    (:func:`_uniform_random_plan`) at a time (:func:`_plan_draws`), replays
+    every group of equal ``(w, t)`` steps at once
+    (:func:`_fisher_yates_kept`), and clears the parents not kept; a set
+    survives iff it is kept at every arrival.
     """
     plan = _uniform_random_plan(compiled)
     completed = np.ones((trials, compiled.num_sets), dtype=bool)
     if not plan:
         return completed
-    table = rng_bridge.cached_uniform_matrix(seed, trials, sum(draws for draws, _ in plan))
-    block_trials = rng_bridge._TRIAL_BLOCK
-    for start in range(0, trials, block_trials):
-        lanes = min(block_trials, trials - start)
-        streams = rng_bridge.WordStreams(seed + start, lanes) if table is None else None
+    for start, lanes, draws in _plan_draws(seed, trials, [count for count, _ in plan]):
         survived = np.ones((compiled.num_sets, lanes), dtype=bool)
-        offset = 0
-        for draws, groups in plan:
-            if streams is None:
-                uniforms = table[start : start + lanes, offset : offset + draws].T
-            else:
-                uniforms = streams.random(draws).T  # (draws, lanes)
-            offset += draws
+        for (_, groups), uniforms in zip(plan, draws):
             for rows, columns in groups:
                 kept = _fisher_yates_kept(uniforms[rows], columns.shape[1])
                 _and_rows(survived, columns.ravel(), kept.reshape(-1, lanes))
         completed[start : start + lanes] &= survived.T
     return completed
+
+
+def _plan_draws(seed: int, trials: int, counts: List[int]):
+    """Per lane chunk, ``(start, lanes, draws)``: ``draws`` yields its next
+    ``(count, lanes)`` draws for each of ``counts`` in turn.
+
+    They come from the draw table an earlier kind at the same ``(seed,
+    trials)`` left cached (:func:`~repro.engine.rng.cached_uniform_matrix`;
+    this replay never creates one), else from each trial block's
+    :meth:`~repro.engine.rng.WordStreams.chunks` views.
+    """
+    table = rng_bridge.cached_uniform_matrix(seed, trials, sum(counts))
+    if table is not None:
+        cuts = np.cumsum(counts)[:-1]
+        for start in range(0, trials, rng_bridge._LANE_CHUNK):
+            rows = table[start : start + rng_bridge._LANE_CHUNK]
+            yield start, len(rows), np.split(rows.T, cuts)
+        return
+    for start, streams in rng_bridge._trial_blocks(seed, trials):
+        for first, lanes in streams.chunks():
+            yield start + first, lanes.trials, (lanes.random(count).T for count in counts)
 
 
 def _run_greedy(compiled: CompiledInstance, kind: str) -> np.ndarray:

@@ -47,6 +47,7 @@ True
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from collections import OrderedDict
@@ -79,10 +80,13 @@ _MIX2 = np.uint32(1566083941)
 _TEMPER_B = np.uint32(0x9D2C5680)
 _TEMPER_C = np.uint32(0xEFC60000)
 
-#: Trials are processed in blocks of this many rows (by :func:`uniform_matrix`,
-#: :func:`uniform_blocks`, :func:`getrandbits64` and the uniform-random replay)
-#: so the transient state stays a few megabytes.
+#: Trials are seeded in blocks of this many streams (:func:`_trial_blocks`),
+#: wide enough to amortize :func:`_seed_group`'s ~7.5k ufunc calls per block.
 _TRIAL_BLOCK = 4096
+
+#: A block's streams are twisted, tempered, paired and replayed this many
+#: lanes at a time, so every per-chunk temporary is a lane chunk wide.
+_LANE_CHUNK = 1024
 
 #: Rows per twist segment: word ``i`` reads word ``i + 397`` (mod 624), which
 #: the twist has already regenerated from ``i = 227`` on (see :func:`_twist`).
@@ -301,35 +305,68 @@ class WordStreams:
     reads the same number of words, so no per-trial position is kept:
     :meth:`random` hands out the next ``random()`` values of every trial,
     and :func:`uniform_matrix` and :func:`getrandbits64` read raw words.
+    Twist, tempering and pairing run :data:`_LANE_CHUNK` lanes at a time on
+    ``(227, _LANE_CHUNK)`` scratch; :meth:`chunks` hands out column views.
     """
 
     def __init__(self, seed: int, trials: int) -> None:
         if trials < 0:
             raise ValueError(f"trials must be non-negative, got {trials}")
+        self._seed(seed, trials)
+        lanes = min(trials, _LANE_CHUNK)
+        self._scratch_a = np.empty((_SEGMENT, lanes), dtype=np.uint32)
+        self._scratch_b = np.empty((_SEGMENT, lanes), dtype=np.uint32)
+
+    def _seed(self, seed: int, trials: int) -> None:
+        """Seed at ``seed``, releasing any old state first (keeps the scratch)."""
+        self._mt = None
         self.trials = trials
         self._mt = _state_matrix_T(range(int(seed), int(seed) + trials))
         # Rows of the current twist block already handed out; a freshly
         # seeded generator (CPython's position 624) twists on its first word.
         self._block_used = MT_N
-        self._scratch_a = np.empty((_SEGMENT, trials), dtype=np.uint32)
-        self._scratch_b = np.empty((_SEGMENT, trials), dtype=np.uint32)
+
+    def chunks(self) -> Iterator[Tuple[int, "WordStreams"]]:
+        """``(first lane, view)`` per :data:`_LANE_CHUNK` lanes of these streams.
+
+        A view shares these state columns and scratch but keeps its own
+        stream position (this generator's then no longer holds for its
+        lanes).  It is valid only until the next one is drawn.
+        """
+        for first in range(0, self.trials, _LANE_CHUNK):
+            view = copy.copy(self)
+            view._mt = self._mt[:, first : first + _LANE_CHUNK]
+            view.trials = view._mt.shape[1]
+            yield first, view
+            view._mt = None
 
     def _generate(self, out: np.ndarray) -> np.ndarray:
-        """Fill the ``(count, trials)`` array ``out`` with the next words.
+        """Fill the ``(count, trials)`` array ``out`` with the next words
+        (uint32) or ``random()`` values (float64, each pairing two words).
 
         A block is twisted only once the previous one is used up, and only
         the rows handed out are tempered, at most one scratch's rows at a
         time; the untempered rest of the block stays in the generator state.
         """
-        filled = 0
-        while filled < len(out):
-            if self._block_used == MT_N:
-                _twist(self._mt, self._scratch_a, self._scratch_b)
-                self._block_used = 0
-            used = self._block_used
-            take = min(MT_N - used, len(out) - filled, _SEGMENT)
-            _temper(self._mt[used : used + take], out[filled : filled + take], self._scratch_a)
-            self._block_used, filled = used + take, filled + take
+        paired = out.dtype == np.float64
+        if paired:
+            words = np.empty((2 * len(out), min(self.trials, _LANE_CHUNK)), dtype=np.uint32)
+        used = position = self._block_used  # every chunk starts at one position
+        for first in range(0, self.trials, _LANE_CHUNK):
+            lanes = min(_LANE_CHUNK, self.trials - first)
+            target = words[:, :lanes] if paired else out[:, first : first + lanes]
+            mt, scratch = self._mt[:, first : first + lanes], self._scratch_a[:, :lanes]
+            used, filled = position, 0
+            while filled < len(target):
+                if used == MT_N:
+                    _twist(mt, scratch, self._scratch_b[:, :lanes])
+                    used = 0
+                take = min(MT_N - used, len(target) - filled, _SEGMENT)
+                _temper(mt[used : used + take], target[filled : filled + take], scratch)
+                used, filled = used + take, filled + take
+            if paired:
+                _res53(target, out[:, first : first + lanes])
+        self._block_used = used
         return out
 
     def random(self, count: int) -> np.ndarray:
@@ -348,8 +385,7 @@ class WordStreams:
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        words = self._generate(np.empty((2 * count, self.trials), dtype=np.uint32))
-        return _res53(words, np.empty((count, self.trials))).T
+        return self._generate(np.empty((count, self.trials))).T
 
 
 def _res53(words: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -358,14 +394,29 @@ def _res53(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     ``a = next() >> 5`` (27 bits), ``b = next() >> 6`` (26 bits), value
     ``(a * 2**26 + b) / 2**53``.  Every step is exact in float64 (the
     integers stay below 2**53 and the scale is a power of two), so the
-    result is bit-equal to CPython's regardless of FMA contraction.
+    result is bit-equal to CPython's regardless of FMA contraction.  The
+    shifts run in place, so ``words`` is consumed.
     """
-    scratch = np.empty(out.shape, dtype=np.uint32)
-    np.right_shift(words[0::2], 5, out=scratch)
-    np.multiply(scratch, 67108864.0, out=out)
-    np.right_shift(words[1::2], 6, out=scratch)
-    np.add(out, scratch, out=out)
+    first, second = words[0::2], words[1::2]
+    np.right_shift(first, 5, out=first)
+    np.multiply(first, 67108864.0, out=out)
+    np.right_shift(second, 6, out=second)
+    np.add(out, second, out=out)
     return np.multiply(out, 1.0 / 9007199254740992.0, out=out)
+
+
+def _trial_blocks(seed: int, trials: int) -> Iterator[Tuple[int, WordStreams]]:
+    """``(start, streams)`` per :data:`_TRIAL_BLOCK` trials, seeded at ``seed + start``.
+
+    Seeding is wide, reading narrow (:meth:`WordStreams.chunks`).  One
+    object is re-seeded block after block, so one block's state is alive at
+    a time and a yielded block is valid only until the next one is drawn.
+    """
+    streams = WordStreams(seed, min(_TRIAL_BLOCK, trials))
+    for start in range(0, trials, _TRIAL_BLOCK):
+        if start:
+            streams._seed(seed + start, min(_TRIAL_BLOCK, trials - start))
+        yield start, streams
 
 
 # ----------------------------------------------------------------------
@@ -483,14 +534,8 @@ def uniform_matrix(seed: int, trials: int, draws: int) -> np.ndarray:
     # F-ordered table makes every transpose below a zero-copy view.  Callers
     # only ever index and compare, which is layout-agnostic.
     out = np.empty((trials, width), dtype=np.float64, order="F")
-    for start in range(0, trials, _TRIAL_BLOCK):
-        stop = min(start + _TRIAL_BLOCK, trials)
-        # The stream (state and scratch matrices) is freed before the
-        # pairing allocates its own scratch.
-        words = WordStreams(seed + start, stop - start)._generate(
-            np.empty((2 * width, stop - start), dtype=np.uint32)
-        )
-        _res53(words, out[start:stop].T)  # a (width, block) C-contiguous view
+    for start, streams in _trial_blocks(seed, trials):
+        streams._generate(out[start : start + streams.trials].T)  # C-contiguous
     out.setflags(write=False)
     if cacheable:
         key = (int(seed), int(trials))
@@ -505,8 +550,8 @@ def uniform_blocks(seed: int, trials: int, draws: int) -> Iterator[Tuple[int, np
     """:func:`uniform_matrix`'s rows as ``(start, rows)`` blocks of trials.
 
     Within the cache's byte cap: one block, the shared cached table.  Over
-    it: fresh :class:`WordStreams` rows per :data:`_TRIAL_BLOCK` trials,
-    cached nowhere (a consumer drops each block before taking the next).
+    it: each :data:`_TRIAL_BLOCK` trials are seeded once (:func:`_trial_blocks`)
+    and yield fresh rows :data:`_LANE_CHUNK` lanes at a time, cached nowhere.
 
     >>> [(start, rows.shape) for start, rows in uniform_blocks(8, 3, 4)]
     [(0, (3, 4))]
@@ -514,8 +559,9 @@ def uniform_blocks(seed: int, trials: int, draws: int) -> Iterator[Tuple[int, np
     if trials * draws * 8 <= _UNIFORM_CACHE_MAX_BYTES:
         yield 0, uniform_matrix(seed, trials, draws)
         return
-    for start in range(0, trials, _TRIAL_BLOCK):
-        yield start, WordStreams(seed + start, min(_TRIAL_BLOCK, trials - start)).random(draws)
+    for start, streams in _trial_blocks(seed, trials):
+        for first, lanes in streams.chunks():
+            yield start + first, lanes.random(draws)
 
 
 def getrandbits64(seed: int, trials: int) -> List[int]:
@@ -525,7 +571,8 @@ def getrandbits64(seed: int, trials: int) -> List[int]:
     word is the low half), which is exactly the first generator pair — so the
     salted hashed-randPr variant can draw its per-trial salts from the same
     vectorized stream the priority draws come from.  The streams are seeded
-    :data:`_TRIAL_BLOCK` trials at a time, which bounds their state.
+    :data:`_TRIAL_BLOCK` trials at a time (:func:`_trial_blocks`), which
+    bounds their state.
 
     >>> import random
     >>> getrandbits64(5, trials=2) == [random.Random(5 + b).getrandbits(64)
@@ -533,9 +580,8 @@ def getrandbits64(seed: int, trials: int) -> List[int]:
     True
     """
     salts: List[int] = []
-    for start in range(0, trials, _TRIAL_BLOCK):
-        lanes = min(_TRIAL_BLOCK, trials - start)
-        words = WordStreams(seed + start, lanes)._generate(np.empty((2, lanes), dtype=np.uint32))
+    for _start, streams in _trial_blocks(seed, trials):
+        words = streams._generate(np.empty((2, streams.trials), dtype=np.uint32))
         low, high = words.astype(np.uint64)
         salts += (low | (high << np.uint64(32))).tolist()
     return salts
